@@ -232,6 +232,17 @@ class QuadratureRule:
             expected = FOUR_PI / self.points.shape[0]
             if not np.allclose(w, expected, rtol=1e-12, atol=0.0):
                 raise ValueError("spherical-design rules must have equal weights 4*pi/N")
+        if self.grid is not None:
+            # The fast path reads the grid, not the points: they must agree.
+            if len(self.grid) != self.points.shape[0]:
+                raise ValueError(
+                    f"grid has {len(self.grid)} points, rule has {self.points.shape[0]}"
+                )
+            if np.max(np.abs(self.grid.points() - self.points)) > 1e-12:
+                raise ValueError("grid points do not match the rule points within 1e-12")
+            grid_w = np.repeat(self.grid.ring_weights, self.grid.n_phi)
+            if not np.allclose(grid_w, w, rtol=1e-12, atol=0.0):
+                raise ValueError("grid ring weights do not match the rule weights")
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -15,28 +15,29 @@ with log-factorial accumulation); production paths never call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
 
-from .core import ScalarCoefficients, VectorCoefficients, degrees_orders, flat_size
+from .core import VectorCoefficients, degrees_orders
 
 
-def coupling_weight_c(l: int) -> float:
-    """Weight sqrt((l+1)/(2l+1)) of the degree-(l-1) branch."""
-    if l < 0:
+def coupling_weight_c(l):
+    """Weight sqrt((l+1)/(2l+1)) of the degree-(l-1) branch; l may be an array."""
+    if np.any(np.asarray(l) < 0):
         raise ValueError(f"degree must be non-negative, got {l}")
     return np.sqrt((l + 1.0) / (2.0 * l + 1.0))
 
 
-def coupling_weight_d(l: int) -> float:
-    """Weight sqrt(l/(2l+1)) of the degree-(l+1) branch; d(0) = 0."""
-    if l < 0:
+def coupling_weight_d(l):
+    """Weight sqrt(l/(2l+1)) of the degree-(l+1) branch; d(0) = 0; l may be an array."""
+    if np.any(np.asarray(l) < 0):
         raise ValueError(f"degree must be non-negative, got {l}")
     return np.sqrt(l / (2.0 * l + 1.0))
 
 
-def cg_explicit(dl: int, m2: int, l: int, m: int) -> float:
+def cg_explicit(dl: int, m2: int, l, m):
     """One of the nine closed-form coefficients C(l, m | l+dl, m-m2, 1, m2).
 
     Parameters
@@ -45,17 +46,28 @@ def cg_explicit(dl: int, m2: int, l: int, m: int) -> float:
         Offset j1 - l of the coupled degree, in {-1, 0, +1}.
     m2 : int
         Spin-1 order, in {-1, 0, +1}.
-    l, m : int
-        Total degree and order (the upper indices).
+    l, m : int or integer arrays
+        Total degree and order (the upper indices); arrays broadcast and
+        give an array of coefficients, ints give a float.
 
-    Returns zero whenever the arguments are out of range.
+    Returns zero wherever the arguments are out of range.
     """
     if dl not in (-1, 0, 1) or m2 not in (-1, 0, 1):
         raise ValueError(f"unknown coefficient kind (dl={dl}, m2={m2})")
     j1 = l + dl
     m1 = m - m2
-    if l < 0 or j1 < 0 or abs(m) > l or abs(m1) > j1:
-        return 0.0
+    # The dl = 0 couplings vanish identically at l = 0.
+    valid = (l >= 0) & (j1 >= 0) & (abs(m) <= l) & (abs(m1) <= j1) & ((dl != 0) | (l > 0))
+    if np.ndim(valid) == 0:
+        return float(_cg_closed_form(dl, m2, l, m)) if valid else 0.0
+    l, m = np.broadcast_arrays(l, m)
+    out = np.zeros(valid.shape)
+    out[valid] = _cg_closed_form(dl, m2, l[valid], m[valid])
+    return out
+
+
+def _cg_closed_form(dl: int, m2: int, l, m):
+    """Closed form of kind (dl, m2) at in-range (l, m); ints or arrays."""
     if dl == -1:
         if m2 == 1:
             return np.sqrt((l + m) * (l + m - 1.0) / ((2.0 * l) * (2.0 * l - 1.0)))
@@ -68,9 +80,6 @@ def cg_explicit(dl: int, m2: int, l: int, m: int) -> float:
         if m2 == 0:
             return -np.sqrt((l - m + 1.0) * (l + m + 1.0) / ((2.0 * l + 3.0) * (l + 1.0)))
         return np.sqrt((l + m + 1.0) * (l + m + 2.0) / ((2.0 * l + 3.0) * (2.0 * l + 2.0)))
-    # dl == 0; these couplings vanish identically at l = 0.
-    if l == 0:
-        return 0.0
     if m2 == 1:
         return -np.sqrt((l + m) * (l - m + 1.0) / (l * (2.0 * l + 2.0)))
     if m2 == 0:
@@ -123,14 +132,14 @@ def clebsch_gordan(j1: int, m1: int, j2: int, m2: int, j3: int, m3: int) -> floa
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CGTables:
     """Precomputed forward coupling tables over all l <= lmax + 1.
 
     ``xi[i]`` (i = 1..6) and ``mu[i]`` (i = 1..3) are real flat arrays of
     length (lmax + 2)**2 indexed degree-major, zero wherever the underlying
     coefficient arguments leave their valid range.  ``c`` and ``d`` hold the
-    branch weights for l = 0..lmax+1.
+    branch weights for l = 0..lmax+1.  All arrays are read-only.
     """
 
     lmax: int
@@ -140,33 +149,39 @@ class CGTables:
     d: np.ndarray
 
 
+@lru_cache(maxsize=8)
 def build_cg_tables(lmax: int) -> CGTables:
     """Tabulate the six xi and three mu coupling arrays for degree lmax.
 
     The tables extend to degree lmax + 1 because the forward assembly reads
-    them at shifted indices l +- 1.
+    them at shifted indices l +- 1.  Results are cached per lmax and shared,
+    hence read-only.
     """
     if lmax < 0:
         raise ValueError(f"lmax must be non-negative, got {lmax}")
     top = lmax + 1
-    size = flat_size(top)
     ls, ms = degrees_orders(top)
-    xi = {i: np.zeros(size) for i in range(1, 7)}
-    mu = {i: np.zeros(size) for i in range(1, 4)}
-    for k in range(size):
-        l = int(ls[k])
-        m = int(ms[k])
-        xi[1][k] = coupling_weight_c(l + 1) * cg_explicit(-1, 1, l + 1, m + 1)
-        xi[2][k] = (coupling_weight_d(l - 1) * cg_explicit(1, 1, l - 1, m + 1)) if l >= 1 else 0.0
-        xi[3][k] = coupling_weight_c(l + 1) * cg_explicit(-1, -1, l + 1, m - 1)
-        xi[4][k] = (coupling_weight_d(l - 1) * cg_explicit(1, -1, l - 1, m - 1)) if l >= 1 else 0.0
-        xi[5][k] = coupling_weight_c(l + 1) * cg_explicit(-1, 0, l + 1, m)
-        xi[6][k] = (coupling_weight_d(l - 1) * cg_explicit(1, 0, l - 1, m)) if l >= 1 else 0.0
-        mu[1][k] = cg_explicit(0, 1, l, m + 1)
-        mu[2][k] = cg_explicit(0, 0, l, m)
-        mu[3][k] = cg_explicit(0, -1, l, m - 1)
-    c = np.array([coupling_weight_c(l) for l in range(top + 1)])
-    d = np.array([coupling_weight_d(l) for l in range(top + 1)])
+    c_up = coupling_weight_c(ls + 1)
+    # d(l - 1) for l >= 1; at l = 0 the coefficient itself is zero.
+    d_down = coupling_weight_d(np.maximum(ls - 1, 0))
+    xi = {
+        1: c_up * cg_explicit(-1, 1, ls + 1, ms + 1),
+        2: d_down * cg_explicit(1, 1, ls - 1, ms + 1),
+        3: c_up * cg_explicit(-1, -1, ls + 1, ms - 1),
+        4: d_down * cg_explicit(1, -1, ls - 1, ms - 1),
+        5: c_up * cg_explicit(-1, 0, ls + 1, ms),
+        6: d_down * cg_explicit(1, 0, ls - 1, ms),
+    }
+    mu = {
+        1: cg_explicit(0, 1, ls, ms + 1),
+        2: cg_explicit(0, 0, ls, ms),
+        3: cg_explicit(0, -1, ls, ms - 1),
+    }
+    degrees = np.arange(top + 1)
+    c = coupling_weight_c(degrees)
+    d = coupling_weight_d(degrees)
+    for array in (*xi.values(), *mu.values(), c, d):
+        array.flags.writeable = False
     return CGTables(lmax=lmax, xi=xi, mu=mu, c=c, d=d)
 
 
@@ -197,7 +212,7 @@ class AdjointCoupling:
     eta: dict[int, np.ndarray]
 
 
-def build_adjoint_coupling(coeffs: VectorCoefficients, tables: CGTables | None = None) -> AdjointCoupling:
+def build_adjoint_coupling(coeffs: VectorCoefficients) -> AdjointCoupling:
     """Combine vector coefficients with the CG tables into synthesis arrays.
 
     Each array multiplies coefficient reads at degree l +- 1 (or l) with the
@@ -205,10 +220,9 @@ def build_adjoint_coupling(coeffs: VectorCoefficients, tables: CGTables | None =
     realized by the zero-read convention rather than explicit branches.
     """
     lmax = coeffs.lmax
-    if tables is None:
-        tables = build_cg_tables(lmax)
-    if tables.lmax < lmax:
-        raise ValueError(f"tables built for lmax={tables.lmax} cannot serve lmax={lmax}")
+    tables = build_cg_tables(lmax)
+    xi = tables.xi
+    mu = tables.mu
     top = lmax + 1
 
     def a_at(dl: int, dm: int) -> np.ndarray:
@@ -216,13 +230,6 @@ def build_adjoint_coupling(coeffs: VectorCoefficients, tables: CGTables | None =
 
     def b_at(dl: int, dm: int) -> np.ndarray:
         return _shift_read(coeffs.curl.values, lmax, dl, dm, top)
-
-    if tables.lmax == lmax:
-        xi = tables.xi
-        mu = tables.mu
-    else:
-        xi = {i: _shift_read(tables.xi[i], tables.lmax + 1, 0, 0, top) for i in range(1, 7)}
-        mu = {i: _shift_read(tables.mu[i], tables.lmax + 1, 0, 0, top) for i in range(1, 4)}
 
     nu = {
         1: a_at(1, 1) * xi[1] - a_at(1, -1) * xi[3],
@@ -238,8 +245,3 @@ def build_adjoint_coupling(coeffs: VectorCoefficients, tables: CGTables | None =
         3: 1j * b_at(0, 0) * mu[2],
     }
     return AdjointCoupling(lmax=lmax, nu=nu, eta=eta)
-
-
-def coefficients_from_flat(values: np.ndarray, lmax: int) -> ScalarCoefficients:
-    """Wrap a flat array (possibly longer than needed) as coefficients."""
-    return ScalarCoefficients(lmax, np.asarray(values)[: flat_size(lmax)])

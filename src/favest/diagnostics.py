@@ -201,7 +201,6 @@ def bench(
         if lmax < 1:
             raise ValueError(f"bench degrees must be >= 1, got {lmax}")
         grid, rule = gen_gl_tensor(2 * (lmax + 1))
-        tables = build_cg_tables(lmax)
         values = rng.standard_normal((len(rule), 3)) + 1j * rng.standard_normal((len(rule), 3))
         samples = TangentFieldSamples(rule.points, values)
         size = flat_size(lmax)
@@ -215,10 +214,10 @@ def bench(
         adj_times = []
         for _ in range(repetitions):
             t0 = time.perf_counter()
-            forward_favest(samples, rule, lmax, path=path, tables=tables)
+            forward_favest(samples, rule, lmax, path=path)
             fwd_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            adjoint_favest(coeffs, rule, path=path, tables=tables)
+            adjoint_favest(coeffs, rule, path=path)
             adj_times.append(time.perf_counter() - t0)
         fwd = float(np.median(fwd_times))
         adj = float(np.median(adj_times))

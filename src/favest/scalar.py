@@ -11,38 +11,49 @@ iso-latitude tensor grid and replace the longitudinal sums by FFTs, with the
 per-ring convention F_m = (2pi/n_phi) * sum_j f_j exp(-i*m*phi_j) absorbed
 into the ring weights.  Orders above the grid's Nyquist limit alias (m and
 m - n_phi share a DFT bin), hence the n_phi >= 2L+1 precondition.
+
+The fast path keeps one plan per (grid, lmax) on the grid, built on first
+use: the normalized Legendre values at the ring colatitudes, stored as one
+contiguous (n_theta, lmax - |m| + 1) block per order |m|.  After the ring
+FFT each order m is a single small matmul against its block, so a transform
+needs O(N) working memory beyond the plan, which holds about
+n_theta * (lmax + 1)**2 / 2 doubles.  The grid's ring arrays are read-only
+and its fields frozen, so a cached plan cannot go stale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QuadratureRule, ScalarCoefficients, degrees_orders, flat_size, from_spherical
+from .core import QuadratureRule, ScalarCoefficients, flat_size, from_spherical
 from .legendre import legendre_table, ylm_table
 
 #: Target entries per chunked harmonic table; keeps peak memory modest.
 _CHUNK_ENTRIES = 1 << 21
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorGrid:
     """Iso-latitude tensor product grid.
 
     ``ring_thetas`` are strictly increasing colatitudes in (0, pi);
     ``ring_weights`` are per-point weights, already including the 2pi/n_phi
     longitudinal factor; each ring carries ``n_phi`` equispaced longitudes
-    ``phi_j = 2*pi*j/n_phi``.  Points enumerate ring-major.
+    ``phi_j = 2*pi*j/n_phi``.  Points enumerate ring-major.  The ring arrays
+    are read-only copies, and ``_plans`` caches the fast path's per-order
+    Legendre blocks for each lmax it has used (see :func:`_plan`).
     """
 
     ring_thetas: np.ndarray
     ring_weights: np.ndarray
     n_phi: int
+    _plans: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        th = np.atleast_1d(np.asarray(self.ring_thetas, dtype=np.float64))
-        w = np.atleast_1d(np.asarray(self.ring_weights, dtype=np.float64))
+        th = np.atleast_1d(np.array(self.ring_thetas, dtype=np.float64))
+        w = np.atleast_1d(np.array(self.ring_weights, dtype=np.float64))
         if th.ndim != 1 or th.shape != w.shape:
             raise ValueError("ring_thetas and ring_weights must be matching 1-d arrays")
         if th.size == 0:
@@ -53,8 +64,10 @@ class TensorGrid:
             raise ValueError("ring colatitudes must be strictly increasing")
         if self.n_phi < 1:
             raise ValueError(f"n_phi must be positive, got {self.n_phi}")
-        self.ring_thetas = th
-        self.ring_weights = w
+        th.flags.writeable = False
+        w.flags.writeable = False
+        object.__setattr__(self, "ring_thetas", th)
+        object.__setattr__(self, "ring_weights", w)
 
     @property
     def n_theta(self) -> int:
@@ -128,14 +141,6 @@ def _adjoint_direct_values(values: np.ndarray, lmax: int, points: np.ndarray) ->
     return out
 
 
-def _grid_tables(grid: TensorGrid, lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ls, ms = degrees_orders(lmax)
-    p = legendre_table(lmax, np.cos(grid.ring_thetas))
-    tri = ls * (ls + 1) // 2 + np.abs(ms)
-    signs = np.where(ms >= 0, 1.0, np.where(np.abs(ms) % 2 == 0, 1.0, -1.0))
-    return ls, ms, p[:, tri], signs
-
-
 def _require_bandwidth(grid: TensorGrid, lmax: int) -> None:
     if grid.n_phi < 2 * lmax + 1:
         raise ValueError(
@@ -143,14 +148,45 @@ def _require_bandwidth(grid: TensorGrid, lmax: int) -> None:
         )
 
 
+def _plan(grid: TensorGrid, lmax: int) -> list[tuple[int, np.ndarray, float, np.ndarray]]:
+    """The grid's per-order Legendre blocks for lmax, built on first use and cached.
+
+    One entry per order m in -lmax..lmax: the DFT bin m mod n_phi, the flat
+    indices of (l, m) for l = |m|..lmax, the sign (-1)**m of negative odd
+    orders, and the contiguous (n_theta, lmax - |m| + 1) block of
+    Pbar(l, |m|, cos(theta_ring)), shared by m and -m.
+    """
+    plan = grid._plans.get(lmax)
+    if plan is None:
+        _require_bandwidth(grid, lmax)
+        p = legendre_table(lmax, np.cos(grid.ring_thetas))
+        blocks = []
+        for am in range(lmax + 1):
+            ls = np.arange(am, lmax + 1)
+            block = p[:, ls * (ls + 1) // 2 + am]
+            block.flags.writeable = False
+            blocks.append(block)
+        plan = []
+        for m in range(-lmax, lmax + 1):
+            ls = np.arange(abs(m), lmax + 1)
+            sign = -1.0 if m < 0 and m % 2 else 1.0
+            plan.append((m % grid.n_phi, ls * ls + ls + m, sign, blocks[abs(m)]))
+        grid._plans[lmax] = plan
+    return plan
+
+
 def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
     vals = _check_samples(f, len(grid))
+    plan = _plan(grid, lmax)
     stacked = np.atleast_2d(vals.T).T.reshape(grid.n_theta, grid.n_phi, -1)
     spectrum = np.fft.fft(stacked, axis=1)  # ring DFT: sum_j f_j exp(-2pi i j m / n_phi)
-    _, ms, p_cols, signs = _grid_tables(grid, lmax)
-    gathered = spectrum[:, np.mod(ms, grid.n_phi), :]
-    weighted = grid.ring_weights[:, None, None] * gathered
-    out = signs[:, None] * np.einsum("rk,rkc->kc", p_cols, weighted)
+    w = grid.ring_weights[:, None]
+    out = np.empty((flat_size(lmax), spectrum.shape[2]), dtype=np.complex128)
+    # Complex columns are viewed as pairs of real ones, so each order is one
+    # real matmul against its real Legendre block.
+    for col, rows, sign, block in plan:
+        weighted = (w * spectrum[:, col, :]).view(np.float64)
+        out[rows] = sign * (block.T @ weighted).view(np.complex128)
     return out if vals.ndim == 2 else out[:, 0]
 
 
@@ -163,20 +199,18 @@ def forward_sht_fast(f: np.ndarray, grid: TensorGrid, lmax: int) -> ScalarCoeffi
     """
     if lmax < 0:
         raise ValueError(f"lmax must be non-negative, got {lmax}")
-    _require_bandwidth(grid, lmax)
     return ScalarCoefficients(lmax, _forward_fast_values(f, grid, lmax))
 
 
 def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
-    _require_bandwidth(grid, lmax)
-    _, ms, p_cols, signs = _grid_tables(grid, lmax)
-    cols = signs[:, None] * values
-    spectrum = np.zeros((grid.n_theta, grid.n_phi, cols.shape[1]), dtype=np.complex128)
-    for m in range(-lmax, lmax + 1):
-        sel = ms == m
-        spectrum[:, m % grid.n_phi, :] = p_cols[:, sel] @ cols[sel]
-    out = np.fft.ifft(spectrum, axis=1) * grid.n_phi
-    return out.reshape(len(grid), cols.shape[1])
+    plan = _plan(grid, lmax)
+    spectrum = np.zeros((grid.n_theta, grid.n_phi, values.shape[1]), dtype=np.complex128)
+    for col, rows, sign, block in plan:
+        column = (sign * values[rows]).view(np.float64)
+        spectrum[:, col, :] = (block @ column).view(np.complex128)
+    # norm="forward" leaves the inverse unscaled: the plain sum over orders.
+    out = np.fft.ifft(spectrum, axis=1, norm="forward")
+    return out.reshape(len(grid), values.shape[1])
 
 
 def adjoint_sht_fast(coeffs: ScalarCoefficients, grid: TensorGrid) -> np.ndarray:

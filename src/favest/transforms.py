@@ -17,6 +17,12 @@ whenever the rule carries a tensor grid with enough longitudes.  The two
 routes are algebraically identical to the direct vector transforms for any
 point/weight family, not just exact rules - that identity is the main
 correctness test of the package.
+
+Nothing needs to be prepared by the caller.  The coupling tables are cached
+per lmax, and the fast path builds a plan per (grid, lmax) on first use and
+keeps it on the grid, so repeated transforms on one grid pay only the FFTs,
+the per-order matmuls and the coupling arithmetic, in O(N) working memory.
+Non-finite input values are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ from .core import (
     TangentFieldSamples,
     VectorCoefficients,
     check_unit,
-    flat_size,
 )
-from .coupling import CGTables, _shift_read, build_adjoint_coupling, build_cg_tables
+from .coupling import _shift_read, build_adjoint_coupling, build_cg_tables
 from .scalar import (
     TensorGrid,
     _adjoint_direct_values,
@@ -81,7 +86,6 @@ def forward_favest(
     rule: QuadratureRule,
     lmax: int,
     path: str = "auto",
-    tables: CGTables | None = None,
 ) -> VectorCoefficients:
     """Forward vector transform via three scalar transforms of degree lmax+1.
 
@@ -95,8 +99,8 @@ def forward_favest(
         Largest vector degree to produce, >= 1.
     path : {"auto", "direct-scalar", "fast-scalar"}
         Scalar backend selection; "auto" uses the FFT path when available.
-    tables : CGTables, optional
-        Reusable coupling tables for lmax (built on demand otherwise).
+
+    Raises ValueError on non-finite sample values.
     """
     if lmax < 1:
         raise ValueError(f"vector transforms need lmax >= 1, got {lmax}")
@@ -104,6 +108,8 @@ def forward_favest(
         samples.points, rule.points, rtol=0.0, atol=1e-12
     ):
         raise ValueError("sample points do not match the quadrature rule points")
+    if not np.all(np.isfinite(samples.values)):
+        raise ValueError("sample values must be finite")
     use_fast = _pick_path(path, rule.grid, lmax)
 
     t1 = samples.values[:, 0]
@@ -117,23 +123,13 @@ def forward_favest(
         f = _forward_direct_values(combos, rule, top)
     fu, fv, fw = f[:, 0], f[:, 1], f[:, 2]
 
-    if tables is None:
-        tables = build_cg_tables(lmax)
-    elif tables.lmax < lmax:
-        raise ValueError(f"tables built for lmax={tables.lmax} cannot serve lmax={lmax}")
+    tables = build_cg_tables(lmax)
     xi = tables.xi
     mu = tables.mu
-    src_top = tables.lmax + 1
 
     def read(values: np.ndarray, dl: int, dm: int) -> np.ndarray:
-        return _shift_read(values, src_top, dl, dm, lmax)[: flat_size(lmax)]
+        return _shift_read(values, top, dl, dm, lmax)
 
-    def pad(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(flat_size(src_top), dtype=np.complex128)
-        out[: flat_size(top)] = values
-        return out
-
-    fu, fv, fw = pad(fu), pad(fv), pad(fw)
     a = _INV_SQRT2 * (
         read(xi[1] * fu, -1, -1)
         + read(xi[2] * fu, 1, -1)
@@ -151,18 +147,20 @@ def adjoint_favest(
     coeffs: VectorCoefficients,
     rule_or_points,
     path: str = "auto",
-    tables: CGTables | None = None,
 ) -> TangentFieldSamples:
     """Adjoint vector transform: synthesize the tangent field at points.
 
     ``rule_or_points`` may be a QuadratureRule, a TensorGrid, or a raw
     (N, 3) array of unit points; weights are never used.  The synthesis
     merges the nine coupling arrays into three scalar coefficient tables of
-    degree lmax+1, one per Cartesian component.
+    degree lmax+1, one per Cartesian component.  Raises ValueError on
+    non-finite coefficient values.
     """
+    if not (np.all(np.isfinite(coeffs.div.values)) and np.all(np.isfinite(coeffs.curl.values))):
+        raise ValueError("coefficient values must be finite")
     points, grid, _ = _resolve_grid(rule_or_points)
     use_fast = _pick_path(path, grid, coeffs.lmax)
-    coupling = build_adjoint_coupling(coeffs, tables)
+    coupling = build_adjoint_coupling(coeffs)
     nu = coupling.nu
     eta = coupling.eta
     merged = np.stack(
@@ -194,9 +192,8 @@ def roundtrip(
     """Forward then adjoint at the same points, with error metrics."""
     from .diagnostics import error_metrics
 
-    tables = build_cg_tables(lmax)
-    coeffs = forward_favest(samples, rule, lmax, path=path, tables=tables)
-    recon = adjoint_favest(coeffs, rule, path=path, tables=tables)
+    coeffs = forward_favest(samples, rule, lmax, path=path)
+    recon = adjoint_favest(coeffs, rule, path=path)
     rel_l2, max_abs = error_metrics(samples, recon, rule.weights)
     return RoundtripResult(coeffs=coeffs, reconstruction=recon, rel_l2=rel_l2, max_abs=max_abs)
 
@@ -219,11 +216,10 @@ def repeat_transform_errors(
     are infinity norms of pointwise Euclidean magnitudes; the drift is the
     largest entrywise change between the two coefficient tables.
     """
-    tables = build_cg_tables(lmax)
-    c1 = forward_favest(samples, rule, lmax, path=path, tables=tables)
-    t1 = adjoint_favest(c1, rule, path=path, tables=tables)
-    c2 = forward_favest(t1, rule, lmax, path=path, tables=tables)
-    t2 = adjoint_favest(c2, rule, path=path, tables=tables)
+    c1 = forward_favest(samples, rule, lmax, path=path)
+    t1 = adjoint_favest(c1, rule, path=path)
+    c2 = forward_favest(t1, rule, lmax, path=path)
+    t2 = adjoint_favest(c2, rule, path=path)
 
     def inf_norm(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.max(np.sqrt(np.sum(np.abs(x - y) ** 2, axis=1))))

@@ -171,6 +171,29 @@ class TestForward:
         assert code == 2
         assert "do not match" in capsys.readouterr().err
 
+    def test_non_finite_samples_are_usage_error(self, tmp_path, capsys):
+        rule_path = _write_gl(tmp_path, 8)
+        rule = read_rule_file(rule_path, 8)
+        values = np.zeros_like(rule.points)
+        values[2, 0] = np.nan
+        samples_path = tmp_path / "nan.csv"
+        write_samples(samples_path, TangentFieldSamples(rule.points, values))
+        code = main(
+            [
+                "fwd",
+                "--points",
+                str(rule_path),
+                "--field",
+                str(samples_path),
+                "--degree",
+                "3",
+                "--out",
+                str(tmp_path / "out.json"),
+            ]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestAdjoint:
     def test_unit_mass_synthesizes_single_harmonic(self, tmp_path):

@@ -15,6 +15,7 @@ from favest.core import (
     from_spherical,
     to_spherical,
 )
+from favest.quadrature import gen_gl_tensor
 
 
 def test_flat_index_enumeration():
@@ -140,3 +141,18 @@ def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(pts, np.array([FOUR_PI * 0.75, FOUR_PI * 0.25]),
                        exactness=1, kind="spherical-design")
+
+
+def test_quadrature_rule_rejects_grid_that_disagrees():
+    grid, rule = gen_gl_tensor(6)
+    other, _ = gen_gl_tensor(8)
+    with pytest.raises(ValueError, match="grid has"):
+        QuadratureRule(rule.points, rule.weights, exactness=6, grid=other)
+    # same size, points permuted: the fast path would read them in grid order
+    with pytest.raises(ValueError, match="points do not match"):
+        QuadratureRule(rule.points[::-1], rule.weights[::-1], exactness=6, grid=grid)
+    # same points, weights moved between rings
+    with pytest.raises(ValueError, match="weights do not match"):
+        QuadratureRule(rule.points, np.full(len(rule), FOUR_PI / len(rule)),
+                       exactness=6, grid=grid)
+    QuadratureRule(rule.points, rule.weights, exactness=6, grid=grid)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from favest.core import ScalarCoefficients, VectorCoefficients, flat_index
+from favest.core import ScalarCoefficients, VectorCoefficients, degrees_orders, flat_index, flat_size
 from favest.coupling import (
     build_adjoint_coupling,
     build_cg_tables,
@@ -122,6 +122,50 @@ def test_adjoint_coupling_unit_curl_mass():
         assert coupling.eta[i][0] == 0.0
 
 
-def test_adjoint_coupling_rejects_small_tables():
-    with pytest.raises(ValueError):
-        build_adjoint_coupling(VectorCoefficients.zeros(5), build_cg_tables(3))
+def test_tables_match_scalar_cg_loop():
+    # the vectorised build against one scalar cg_explicit call per entry
+    for lmax in range(21):
+        tables = build_cg_tables(lmax)
+        ls, ms = degrees_orders(lmax + 1)
+        size = flat_size(lmax + 1)
+        xi = {i: np.zeros(size) for i in range(1, 7)}
+        mu = {i: np.zeros(size) for i in range(1, 4)}
+        for k in range(size):
+            l, m = int(ls[k]), int(ms[k])
+            xi[1][k] = coupling_weight_c(l + 1) * cg_explicit(-1, 1, l + 1, m + 1)
+            xi[3][k] = coupling_weight_c(l + 1) * cg_explicit(-1, -1, l + 1, m - 1)
+            xi[5][k] = coupling_weight_c(l + 1) * cg_explicit(-1, 0, l + 1, m)
+            if l >= 1:
+                xi[2][k] = coupling_weight_d(l - 1) * cg_explicit(1, 1, l - 1, m + 1)
+                xi[4][k] = coupling_weight_d(l - 1) * cg_explicit(1, -1, l - 1, m - 1)
+                xi[6][k] = coupling_weight_d(l - 1) * cg_explicit(1, 0, l - 1, m)
+            mu[1][k] = cg_explicit(0, 1, l, m + 1)
+            mu[2][k] = cg_explicit(0, 0, l, m)
+            mu[3][k] = cg_explicit(0, -1, l, m - 1)
+        for i in range(1, 7):
+            assert np.array_equal(tables.xi[i], xi[i]), (lmax, "xi", i)
+        for i in range(1, 4):
+            assert np.array_equal(tables.mu[i], mu[i]), (lmax, "mu", i)
+        degrees = range(lmax + 2)
+        assert np.array_equal(tables.c, [coupling_weight_c(l) for l in degrees])
+        assert np.array_equal(tables.d, [coupling_weight_d(l) for l in degrees])
+
+
+def test_tables_are_cached_and_read_only():
+    tables = build_cg_tables(7)
+    assert build_cg_tables(7) is tables
+    for array in (*tables.xi.values(), *tables.mu.values(), tables.c, tables.d):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_cg_explicit_accepts_arrays():
+    ls = np.array([[0, 1, 2], [3, 4, 5]])
+    ms = np.array([[0, -1, 2], [3, 0, -6]])
+    for dl in (-1, 0, 1):
+        for m2 in (-1, 0, 1):
+            got = cg_explicit(dl, m2, ls, ms)
+            assert got.shape == ls.shape
+            want = [[cg_explicit(dl, m2, int(l), int(m)) for l, m in zip(lr, mr)]
+                    for lr, mr in zip(ls, ms)]
+            assert np.array_equal(got, want), (dl, m2)

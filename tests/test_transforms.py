@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import favest.scalar
 from favest.core import (
+    FOUR_PI,
+    QuadratureRule,
     ScalarCoefficients,
     TangentFieldSamples,
     VectorCoefficients,
@@ -196,3 +201,92 @@ def test_roundtrip_zero_field_is_domain_error():
     samples = TangentFieldSamples(rule.points, np.zeros_like(rule.points))
     with pytest.raises(ValueError):
         roundtrip(samples, rule, 3)
+
+
+def test_non_finite_input_rejected():
+    rng = np.random.default_rng(17)
+    lmax = 5
+    _, rule = gen_gl_tensor(2 * (lmax + 1))
+    samples = _random_tangent(rng, rule.points)
+    samples.values[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        forward_favest(samples, rule, lmax)
+    coeffs = _random_coeffs(rng, lmax)
+    coeffs.curl.values[7] = np.inf
+    for where in (rule, rule.points):
+        with pytest.raises(ValueError, match="finite"):
+            adjoint_favest(coeffs, where)
+
+
+def _weighted_rule(rng, n):
+    weights = rng.uniform(0.5, 1.5, n)
+    return QuadratureRule(_random_points(rng, n), weights * FOUR_PI / weights.sum(), exactness=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adjointness_on_every_path(seed):
+    # <c, F s> = <A c, W s>: the forward transform is the weighted adjoint of
+    # the synthesis, for arbitrary (even non-tangent) samples and any rule.
+    rng = np.random.default_rng([9, seed])
+    lmax = int(rng.integers(1, 13))
+    _, gl = gen_gl_tensor(2 * (lmax + 1))
+    cases = [(gl, "fast-scalar"), (gl, "direct-scalar"), (_weighted_rule(rng, 150), "direct-scalar")]
+    for rule, path in cases:
+        values = rng.standard_normal((len(rule), 3)) + 1j * rng.standard_normal((len(rule), 3))
+        samples = TangentFieldSamples(rule.points, values)
+        coeffs = _random_coeffs(rng, lmax)
+        fs = forward_favest(samples, rule, lmax, path=path)
+        ac = adjoint_favest(coeffs, rule, path=path)
+        lhs = np.vdot(coeffs.div.values, fs.div.values) + np.vdot(coeffs.curl.values, fs.curl.values)
+        rhs = np.vdot(ac.values, rule.weights[:, None] * values)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs), (lmax, path, lhs, rhs)
+
+
+def test_grid_plan_is_built_once_per_lmax(monkeypatch):
+    calls = []
+    original = favest.scalar.legendre_table
+
+    def counting(lmax, t):
+        calls.append(lmax)
+        return original(lmax, t)
+
+    monkeypatch.setattr(favest.scalar, "legendre_table", counting)
+    rng = np.random.default_rng(18)
+    lmax = 6
+    grid, rule = gen_gl_tensor(2 * (lmax + 2))
+    coeffs = _random_coeffs(rng, lmax)
+    samples = adjoint_favest(coeffs, rule)
+    assert calls == [lmax + 1]
+    forward_favest(samples, rule, lmax)
+    adjoint_favest(coeffs, rule)
+    assert calls == [lmax + 1]  # forward and adjoint share the degree-(lmax+1) plan
+    forward_favest(samples, rule, lmax + 1)
+    assert calls == [lmax + 1, lmax + 2]
+    assert sorted(grid._plans) == [lmax + 1, lmax + 2]
+
+
+def test_grid_is_immutable():
+    grid, _ = gen_gl_tensor(8)
+    for array in (grid.ring_thetas, grid.ring_weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+    with pytest.raises(AttributeError):
+        grid.n_phi = 3
+
+
+def test_working_memory_is_linear_in_points():
+    rng = np.random.default_rng(19)
+    lmax = 96
+    _, rule = gen_gl_tensor(2 * (lmax + 1))
+    coeffs = _random_coeffs(rng, lmax)
+    samples = adjoint_favest(coeffs, rule)  # warm-up builds the plan and tables
+    forward_favest(samples, rule, lmax)
+    budget = 6 * samples.values.nbytes
+    for call in (lambda: forward_favest(samples, rule, lmax), lambda: adjoint_favest(coeffs, rule)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (peak, budget)
