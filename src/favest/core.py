@@ -11,6 +11,7 @@ casing boundary indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +45,12 @@ def flat_size(lmax: int) -> int:
     return (lmax + 1) ** 2
 
 
+@lru_cache(maxsize=16)
 def degrees_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return integer arrays (ls, ms) listing (l, m) in flat order."""
+    """Return integer arrays (ls, ms) listing (l, m) in flat order.
+
+    Results are cached per lmax and shared, hence read-only.
+    """
     size = flat_size(lmax)
     ls = np.empty(size, dtype=np.int64)
     ms = np.empty(size, dtype=np.int64)
@@ -53,6 +58,8 @@ def degrees_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
         sl = slice(l * l, (l + 1) ** 2)
         ls[sl] = l
         ms[sl] = np.arange(-l, l + 1)
+    ls.flags.writeable = False
+    ms.flags.writeable = False
     return ls, ms
 
 

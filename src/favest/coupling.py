@@ -185,16 +185,25 @@ def build_cg_tables(lmax: int) -> CGTables:
     return CGTables(lmax=lmax, xi=xi, mu=mu, c=c, d=d)
 
 
-def _shift_read(flat: np.ndarray, src_lmax: int, dl: int, dm: int, out_lmax: int) -> np.ndarray:
-    """Gather flat[(l+dl, m+dm)] over all (l, m) with l <= out_lmax.
-
-    Out-of-range source pairs contribute zero.
-    """
+@lru_cache(maxsize=64)
+def _shift_index(src_lmax: int, dl: int, dm: int, out_lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source index and validity mask of :func:`_shift_read`; cached, read-only."""
     ls, ms = degrees_orders(out_lmax)
     sl = ls + dl
     sm = ms + dm
     valid = (sl >= 0) & (sl <= src_lmax) & (np.abs(sm) <= sl)
     idx = np.where(valid, sl * sl + sl + sm, 0)
+    idx.flags.writeable = False
+    valid.flags.writeable = False
+    return idx, valid
+
+
+def _shift_read(flat: np.ndarray, src_lmax: int, dl: int, dm: int, out_lmax: int) -> np.ndarray:
+    """Gather flat[(l+dl, m+dm)] over all (l, m) with l <= out_lmax.
+
+    Out-of-range source pairs contribute zero.
+    """
+    idx, valid = _shift_index(src_lmax, dl, dm, out_lmax)
     out = np.where(valid, flat[idx], 0.0)
     return out.astype(flat.dtype)
 

@@ -11,17 +11,30 @@ Running the three-term recurrences on the normalized values keeps every
 intermediate bounded by ``sqrt((2l+1)/(4pi))``; evaluating raw ``P_l^m``
 and rescaling afterwards overflows near degree 150, which the certified
 quadrature degrees here exceed in product form.
+
+One recurrence serves the package: ``_legendre_by_order`` returns an
+order-major table ``q[m, l, k]`` whose block ``q[m, m:]`` is contiguous, so
+each order contracts with a single matmul.  It steps upward in l for all
+orders at once, which costs O(lmax) Python steps per batch of points.
+Callers batch points with ``_point_chunks`` so that one table holds at most
+``_CHUNK_ENTRIES`` doubles.  ``legendre_table`` (triangular layout) and
+``ylm_table`` gather from it; ``eval_ylm`` keeps its own single-(l, m)
+recurrence as an independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from functools import lru_cache
 
 import numpy as np
 
 from .core import FOUR_PI, check_unit, degrees_orders, to_spherical
 
 _INV_SQRT_4PI = 1.0 / np.sqrt(FOUR_PI)
+
+#: Most doubles one order-major Legendre table may hold; bounds working memory.
+_CHUNK_ENTRIES = 1 << 21
 
 
 def tri_index(l: int, m: int) -> int:
@@ -31,6 +44,90 @@ def tri_index(l: int, m: int) -> int:
 
 def tri_size(lmax: int) -> int:
     return (lmax + 1) * (lmax + 2) // 2
+
+
+def _point_chunks(n: int, lmax: int) -> list[slice]:
+    """Equal batches of n points whose order-major tables fit in ``_CHUNK_ENTRIES``."""
+    most = max(1, _CHUNK_ENTRIES // (lmax + 1) ** 2)
+    count = -(-n // most)
+    step = -(-n // count) if n else 1
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _order_phases(lmax: int, phi: np.ndarray) -> np.ndarray:
+    """exp(i*m*phi) for m = 0..lmax, shape (lmax+1, phi.size).
+
+    With m = j*B + r and B about sqrt(lmax), each entry is the product of
+    exp(i*B*phi)**j and exp(i*phi)**r, both running products of at most
+    sqrt(lmax) factors.  That takes two exponentials per point and keeps
+    the rounding error at O(sqrt(lmax)) ulp, where one running product
+    over all m would reach O(lmax).
+    """
+    width = math.isqrt(lmax) + 1
+    low = np.empty((width, phi.size), dtype=np.complex128)
+    high = np.empty((-(-(lmax + 1) // width), phi.size), dtype=np.complex128)
+    for powers, step in ((low, 1), (high, width)):
+        powers[0] = 1.0
+        powers[1:] = np.exp(1j * step * phi)
+        np.multiply.accumulate(powers, axis=0, out=powers)
+    return (high[:, None] * low).reshape(-1, phi.size)[: lmax + 1]
+
+
+@lru_cache(maxsize=8)
+def _recurrence_coefficients(lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (lmax+1, lmax+1) arrays a[l, m], b[l, m] of the l-recurrence.
+
+    Only entries with m <= l - 2 are used; the rest are not meaningful.
+    """
+    l = np.arange(lmax + 1)[:, None]
+    m = np.arange(lmax + 1)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
+def _legendre_by_order(lmax: int, t: np.ndarray) -> np.ndarray:
+    """Order-major normalized Legendre values at the 1-d arguments t.
+
+    Returns q of shape (lmax+1, lmax+1, t.size) with ``q[m, l, k]`` equal to
+    ``Pbar(l, m, t[k])`` for l >= m; entries with l < m are left unset.
+    Arguments within 1e-12 outside [-1, 1] are clipped, others rejected.
+    Every value comes from the same floating-point operations, in the same
+    order, as a separate recurrence for each (l, m) would use, so
+    ``legendre_table`` matches that loop bit for bit, whatever the batching.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if t.size and (np.max(t) > 1.0 + 1e-12 or np.min(t) < -1.0 - 1e-12):
+        raise ValueError("Legendre argument outside [-1, 1]")
+    t = np.clip(t, -1.0, 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    a, b = _recurrence_coefficients(lmax)
+
+    q = np.empty((lmax + 1, lmax + 1, t.size), dtype=np.float64)
+    # Diagonal seed, then one off-diagonal step; rows (m, m) and (m, m + 1)
+    # of the flattened table are basic slices.
+    rows = q.reshape(-1, t.size)
+    diagonal = rows[:: lmax + 2]
+    ms = np.arange(1, lmax + 1)
+    factors = -np.sqrt((2 * ms + 1) / (2.0 * ms))[:, None] * s
+    diagonal[0] = _INV_SQRT_4PI
+    for m in range(1, lmax + 1):
+        np.multiply(factors[m - 1], diagonal[m - 1], out=diagonal[m])
+    ms = np.arange(lmax)
+    np.multiply(np.sqrt(2 * ms + 3.0)[:, None] * t, diagonal[:-1], out=rows[1 :: lmax + 2])
+    # Upward in l for every order m <= l - 2 at once.
+    x = np.empty((lmax, t.size), dtype=np.float64)
+    y = np.empty((lmax, t.size), dtype=np.float64)
+    for l in range(2, lmax + 1):
+        n = l - 1
+        np.multiply(t, q[:n, l - 1], out=x[:n])
+        np.multiply(b[l, :n, None], q[:n, l - 2], out=y[:n])
+        np.subtract(x[:n], y[:n], out=x[:n])
+        np.multiply(a[l, :n, None], x[:n], out=q[:n, l])
+    return q
 
 
 def legendre_table(lmax: int, t: np.ndarray) -> np.ndarray:
@@ -51,51 +148,15 @@ def legendre_table(lmax: int, t: np.ndarray) -> np.ndarray:
     if lmax < 0:
         raise ValueError(f"lmax must be non-negative, got {lmax}")
     t = np.asarray(t, dtype=np.float64)
-    if t.size and (np.max(t) > 1.0 + 1e-12 or np.min(t) < -1.0 - 1e-12):
-        raise ValueError("Legendre argument outside [-1, 1]")
-    t = np.clip(t, -1.0, 1.0)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-
-    out = np.empty(t.shape + (tri_size(lmax),), dtype=np.float64)
-    out[..., 0] = _INV_SQRT_4PI
-    # Diagonal seed, then one off-diagonal step, then upward in l at fixed m.
-    for m in range(1, lmax + 1):
-        out[..., tri_index(m, m)] = (
-            -np.sqrt((2 * m + 1) / (2.0 * m)) * s * out[..., tri_index(m - 1, m - 1)]
-        )
-    for m in range(lmax):
-        out[..., tri_index(m + 1, m)] = np.sqrt(2 * m + 3.0) * t * out[..., tri_index(m, m)]
-    for m in range(lmax - 1):
-        for l in range(m + 2, lmax + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            out[..., tri_index(l, m)] = a * (
-                t * out[..., tri_index(l - 1, m)] - b * out[..., tri_index(l - 2, m)]
-            )
-    return out
-
-
-@dataclass
-class LegendreBlock:
-    """All normalized Legendre values at a single argument.
-
-    ``values[tri_index(l, m)]`` holds ``Pbar(l, m, t)`` for 0 <= m <= l <= lmax.
-    """
-
-    lmax: int
-    t: float
-    values: np.ndarray
-
-    def get(self, l: int, m: int) -> float:
-        if m < 0 or m > l or l > self.lmax:
-            return 0.0
-        return float(self.values[tri_index(l, m)])
-
-
-def legendre_block(lmax: int, t: float) -> LegendreBlock:
-    """Evaluate every ``Pbar(l, m, t)`` with l <= lmax at one argument."""
-    values = legendre_table(lmax, np.asarray([t]))[0]
-    return LegendreBlock(lmax=lmax, t=float(t), values=values)
+    flat = t.reshape(-1)
+    # Row of (l, m) in the order-major table, listed in triangular order.
+    ls, ms = np.tril_indices(lmax + 1)
+    rows = ms * (lmax + 1) + ls
+    out = np.empty((flat.size, tri_size(lmax)), dtype=np.float64)
+    for chunk in _point_chunks(flat.size, lmax):
+        q = _legendre_by_order(lmax, flat[chunk])
+        out[chunk] = q.reshape(-1, q.shape[2])[rows].T
+    return out.reshape(t.shape + (tri_size(lmax),))
 
 
 def _order_signs(ms: np.ndarray) -> np.ndarray:
@@ -121,11 +182,6 @@ def ylm_table(lmax: int, points: np.ndarray) -> np.ndarray:
     orders = np.arange(-lmax, lmax + 1)
     phase = np.exp(1j * np.outer(phi, orders))
     return _order_signs(ms) * p[:, tri] * phase[:, ms + lmax]
-
-
-def ylm_row(lmax: int, point: np.ndarray) -> np.ndarray:
-    """All Y(l, m) with l <= lmax at one point, flat degree-major order."""
-    return ylm_table(lmax, np.asarray(point, dtype=np.float64)[None, :])[0]
 
 
 def eval_ylm(l: int, m: int, points: np.ndarray) -> np.ndarray:

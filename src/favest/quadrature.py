@@ -10,6 +10,11 @@ exactly; ``verify_exactness`` certifies the claim by checking the defect
 against 1e-8.  Callers that need lossless degree-L vector roundtrips want
 t = 2(L+1): the harmonic components are polynomials of degree l+1, so the
 Gram integrands reach degree 2(L+1).
+
+The certifier reads only points and weights, never a grid.  It batches the
+points like the direct transforms (``legendre._point_chunks``) and sums
+each order m >= 0 with one matmul of the order-major Legendre block
+Pbar(l, m), l = m..t, against w * exp(-i*m*phi).
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import FOUR_PI, QuadratureRule, check_unit
-from .legendre import legendre_table, tri_index, tri_size
-from .scalar import _CHUNK_ENTRIES, TensorGrid
+from .legendre import _legendre_by_order, _order_phases, _point_chunks
+from .scalar import TensorGrid
 
 _BUNDLED_DESIGNS = {"icosahedron12": ("icosahedron12.txt", 5)}
 
@@ -60,18 +65,17 @@ def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:
         raise ValueError(f"certification degree must be non-negative, got {t}")
     z = rule.points[:, 2]
     phi = np.arctan2(rule.points[:, 1], rule.points[:, 0])
-    sums = np.zeros(tri_size(t), dtype=np.complex128)
-    chunk = max(16, _CHUNK_ENTRIES // tri_size(t))
-    for start in range(0, len(rule), chunk):
-        stop = min(start + chunk, len(rule))
-        p = legendre_table(t, z[start:stop])
-        wph = rule.weights[start:stop, None] * np.exp(
-            -1j * np.outer(phi[start:stop], np.arange(t + 1))
-        )
+    # sums[m, l] for l >= m; entries with l < m stay zero.
+    sums = np.zeros((t + 1, t + 1), dtype=np.complex128)
+    for chunk in _point_chunks(len(rule), t):
+        q = _legendre_by_order(t, z[chunk])
+        wph = rule.weights[chunk] * _order_phases(t, phi[chunk]).conj()
+        # Each order's complex row, viewed as (points, 2) real columns.
+        real = wph.view(np.float64).reshape(t + 1, -1, 2)
         for m in range(t + 1):
-            idx = [tri_index(l, m) for l in range(m, t + 1)]
-            sums[idx] += wph[:, m] @ p[:, idx]
-    sums[0] -= np.sqrt(FOUR_PI)
+            sums[m, m:] += (q[m, m:] @ real[m]).view(np.complex128)[:, 0]
+        del q  # free the table before the next chunk allocates its own
+    sums[0, 0] -= np.sqrt(FOUR_PI)
     defect = float(np.max(np.abs(sums)))
     return defect, defect <= 1e-8
 

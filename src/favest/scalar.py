@@ -12,13 +12,22 @@ per-ring convention F_m = (2pi/n_phi) * sum_j f_j exp(-i*m*phi_j) absorbed
 into the ring weights.  Orders above the grid's Nyquist limit alias (m and
 m - n_phi share a DFT bin), hence the n_phi >= 2L+1 precondition.
 
+Both variants work order by order.  The direct path batches points so that
+each batch's order-major Legendre table (``legendre._legendre_by_order``)
+holds at most ``legendre._CHUNK_ENTRIES`` doubles.  Per batch, order m >= 0
+is one real matmul of its contiguous block Pbar(l, m), l = m..lmax, against
+the batch's columns times cos(m*phi) and sin(m*phi); since
+Y(l, -m) = (-1)**m conj(Y(l, m)), that one product serves orders m and -m.
+That costs O(M * lmax**2) arithmetic in O(lmax) Python steps per batch.
+
 The fast path keeps one plan per (grid, lmax) on the grid, built on first
 use: the normalized Legendre values at the ring colatitudes, stored as one
-contiguous (n_theta, lmax - |m| + 1) block per order |m|.  After the ring
-FFT each order m is a single small matmul against its block, so a transform
-needs O(N) working memory beyond the plan, which holds about
-n_theta * (lmax + 1)**2 / 2 doubles.  The grid's ring arrays are read-only
-and its fields frozen, so a cached plan cannot go stale.
+contiguous (n_theta, lmax - |m| + 1) block per order |m| and filled one
+batch of rings at a time.  After the ring FFT each order m is a single
+small matmul against its block, so a transform needs O(N) working memory
+beyond the plan, which holds about n_theta * (lmax + 1)**2 / 2 doubles.
+The grid's ring arrays are read-only and its fields frozen, so a cached
+plan cannot go stale.
 """
 
 from __future__ import annotations
@@ -27,11 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QuadratureRule, ScalarCoefficients, flat_size, from_spherical
-from .legendre import legendre_table, ylm_table
-
-#: Target entries per chunked harmonic table; keeps peak memory modest.
-_CHUNK_ENTRIES = 1 << 21
+from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size, from_spherical
+from .legendre import _legendre_by_order, _order_phases, _point_chunks, legendre_table
 
 
 @dataclass(frozen=True)
@@ -104,17 +110,47 @@ def _check_samples(f: np.ndarray, n: int) -> np.ndarray:
     return vals
 
 
+def _order_rows(lmax: int) -> tuple[np.ndarray, ...]:
+    """Order-major positions of the flat coefficient rows.
+
+    Returns (ms, ls, rows) over 0 <= m <= l <= lmax, where rows holds the
+    flat index of (l, m), then (ms, ls, rows, signs) again restricted to
+    m >= 1 with rows holding (l, -m) and signs (-1)**m.
+    """
+    ls, ms = np.tril_indices(lmax + 1)
+    neg = ms > 0
+    lsn, msn = ls[neg], ms[neg]
+    signs = np.where(msn % 2, -1.0, 1.0)[:, None]
+    return ms, ls, ls * ls + ls + ms, msn, lsn, lsn * lsn + lsn - msn, signs
+
+
 def _forward_direct_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.ndarray:
     """Accumulate sum_k w_k f_k conj(Y) in point chunks; f may be (N,) or (N, c)."""
     vals = _check_samples(f, len(rule))
     wf = rule.weights[:, None] * np.atleast_2d(vals.T).T
-    size = flat_size(lmax)
-    out = np.zeros((size,) + wf.shape[1:], dtype=np.complex128)
-    chunk = max(16, _CHUNK_ENTRIES // size)
-    for start in range(0, len(rule), chunk):
-        stop = min(start + chunk, len(rule))
-        y = ylm_table(lmax, rule.points[start:stop])
-        out += y.conj().T @ wf[start:stop]
+    pts = check_unit(rule.points)
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    c = wf.shape[1]
+    # Complex columns are viewed as pairs of real ones, points last, so each
+    # order is one real matmul of its Legendre block against the rows
+    # [cos(m phi) wf, sin(m phi) wf], built per order to stay in cache.
+    wf_rows = np.ascontiguousarray(wf.view(np.float64).T)
+    acc = np.zeros((lmax + 1, lmax + 1, 2 * c), dtype=np.complex128)
+    for chunk in _point_chunks(len(rule), lmax):
+        q = _legendre_by_order(lmax, pts[chunk, 2])
+        phase = _order_phases(lmax, phi[chunk])
+        part = wf_rows[:, chunk]
+        cols = np.empty((2, 2 * c, q.shape[2]), dtype=np.float64)
+        for m in range(lmax + 1):
+            np.multiply(phase[m].real, part, out=cols[0])
+            np.multiply(phase[m].imag, part, out=cols[1])
+            acc[m, m:] += (q[m, m:] @ cols.reshape(4 * c, -1).T).view(np.complex128)
+        del q  # free the table before the next chunk allocates its own
+    # F(l, m) = cos part - i sin part; (-1)**m F(l, -m) = cos part + i sin part.
+    ms, ls, rows, msn, lsn, rows_neg, signs = _order_rows(lmax)
+    out = np.empty((flat_size(lmax), c), dtype=np.complex128)
+    out[rows] = acc[ms, ls, :c] - 1j * acc[ms, ls, c:]
+    out[rows_neg] = signs * (acc[msn, lsn, :c] + 1j * acc[msn, lsn, c:])
     return out if vals.ndim == 2 else out[:, 0]
 
 
@@ -132,13 +168,32 @@ def adjoint_sht_direct(coeffs: ScalarCoefficients, points: np.ndarray) -> np.nda
 
 def _adjoint_direct_values(values: np.ndarray, lmax: int, points: np.ndarray) -> np.ndarray:
     """Adjoint sum for a stack of coefficient columns; values is (size, c)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    out = np.zeros((pts.shape[0], values.shape[1]), dtype=np.complex128)
-    chunk = max(16, _CHUNK_ENTRIES // flat_size(lmax))
-    for start in range(0, pts.shape[0], chunk):
-        stop = min(start + chunk, pts.shape[0])
-        out[start:stop] = ylm_table(lmax, pts[start:stop]) @ values
-    return out
+    pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    c = values.shape[1]
+    # With g+ = g(l, m) and g- = (-1)**m g(l, -m), both weighing Pbar(l, m):
+    # g+ exp(i m phi) + g- exp(-i m phi) = (g+ + g-) cos(m phi) + i (g+ - g-) sin(m phi).
+    ms, ls, rows, msn, lsn, rows_neg, signs = _order_rows(lmax)
+    plus = np.zeros((lmax + 1, lmax + 1, c), dtype=np.complex128)
+    minus = np.zeros_like(plus)
+    plus[ms, ls] = values[rows]
+    minus[msn, lsn] = signs * values[rows_neg]
+    cols = np.concatenate([plus + minus, 1j * (plus - minus)], axis=2).view(np.float64)
+    # The complex output as real pairs, points last.
+    out = np.zeros((2 * c, pts.shape[0]), dtype=np.float64)
+    for chunk in _point_chunks(pts.shape[0], lmax):
+        q = _legendre_by_order(lmax, pts[chunk, 2])
+        phase = _order_phases(lmax, phi[chunk])
+        part = out[:, chunk]
+        r = np.empty((2, 2 * c, q.shape[2]), dtype=np.float64)
+        for m in range(lmax + 1):
+            np.matmul(cols[m, m:].T, q[m, m:], out=r.reshape(4 * c, -1))
+            r[0] *= phase[m].real
+            r[1] *= phase[m].imag
+            part += r[0]
+            part += r[1]
+        del q  # free the table before the next chunk allocates its own
+    return np.ascontiguousarray(out.T).view(np.complex128)
 
 
 def _require_bandwidth(grid: TensorGrid, lmax: int) -> None:
@@ -159,13 +214,17 @@ def _plan(grid: TensorGrid, lmax: int) -> list[tuple[int, np.ndarray, float, np.
     plan = grid._plans.get(lmax)
     if plan is None:
         _require_bandwidth(grid, lmax)
-        p = legendre_table(lmax, np.cos(grid.ring_thetas))
-        blocks = []
-        for am in range(lmax + 1):
-            ls = np.arange(am, lmax + 1)
-            block = p[:, ls * (ls + 1) // 2 + am]
+        t = np.cos(grid.ring_thetas)
+        blocks = [np.empty((grid.n_theta, lmax - am + 1)) for am in range(lmax + 1)]
+        # One batch of rings at a time, so the full triangular table and
+        # the blocks are never held together.
+        for rings in _point_chunks(grid.n_theta, lmax):
+            p = legendre_table(lmax, t[rings])
+            for am, block in enumerate(blocks):
+                ls = np.arange(am, lmax + 1)
+                block[rings] = p[:, ls * (ls + 1) // 2 + am]
+        for block in blocks:
             block.flags.writeable = False
-            blocks.append(block)
         plan = []
         for m in range(-lmax, lmax + 1):
             ls = np.arange(abs(m), lmax + 1)

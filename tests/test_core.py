@@ -49,6 +49,13 @@ def test_flat_index_matches_enumeration_order(l, data):
     assert ls[k] == l and ms[k] == m
 
 
+def test_degrees_orders_is_cached_and_read_only():
+    ls, ms = degrees_orders(7)
+    assert degrees_orders(7)[0] is ls
+    with pytest.raises(ValueError):
+        ms[0] = 3
+
+
 def test_degrees_orders_covers_flat_layout():
     ls, ms = degrees_orders(6)
     assert ls.shape == (49,)

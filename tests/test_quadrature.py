@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+import favest.legendre
 from favest.core import FOUR_PI, QuadratureRule
+from favest.legendre import ylm_table
 from favest.quadrature import bundled_design, gen_gl_tensor, load_design, verify_exactness
 
 _SD498 = os.path.join(os.path.dirname(__file__), "data", "sd498_t31.txt")
@@ -44,6 +46,24 @@ def test_verify_rejects_negative_degree():
     _, rule = gen_gl_tensor(2)
     with pytest.raises(ValueError):
         verify_exactness(rule, -1)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 40])
+def test_verify_matches_brute_force_on_random_rule(per_chunk, monkeypatch):
+    rng = np.random.default_rng(43)
+    n = 250
+    v = rng.standard_normal((n, 3))
+    pts = v / np.linalg.norm(v, axis=1, keepdims=True)
+    w = rng.uniform(0.2, 1.8, n)
+    rule = QuadratureRule(pts, w * FOUR_PI / np.sum(w), exactness=0)
+    for t in (0, 1, 5, 12):
+        sums = rule.weights @ ylm_table(t, pts)
+        sums[0] -= np.sqrt(FOUR_PI)
+        if per_chunk:  # several point chunks instead of one
+            monkeypatch.setattr(favest.legendre, "_CHUNK_ENTRIES", per_chunk * (t + 1) ** 2)
+        defect, passed = verify_exactness(rule, t)
+        assert defect == pytest.approx(np.max(np.abs(sums)), rel=1e-12, abs=1e-14), t
+        assert passed == (defect <= 1e-8)
 
 
 def test_single_point_is_not_a_one_design():

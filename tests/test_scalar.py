@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
+import favest.legendre
 from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, flat_size
-from favest.legendre import eval_ylm, ylm_row
+from favest.legendre import eval_ylm, ylm_table
 from favest.quadrature import gen_gl_tensor
 from favest.scalar import (
     TensorGrid,
+    _adjoint_direct_values,
+    _forward_direct_values,
     adjoint_sht_direct,
     adjoint_sht_fast,
     forward_sht_direct,
     forward_sht_fast,
 )
+
+
+def ylm_row(lmax, point):
+    """All Y(l, m) with l <= lmax at one point, flat degree-major order."""
+    return ylm_table(lmax, np.asarray(point, dtype=np.float64)[None, :])[0]
 
 
 def _random_points(rng, n):
@@ -130,3 +138,35 @@ def test_tensor_grid_validation():
     assert grid.n_theta == 2
     assert len(grid) == 6
     assert grid.points().shape == (6, 3)
+
+
+def test_direct_paths_across_chunk_boundaries(monkeypatch):
+    rng = np.random.default_rng(29)
+    lmax, n = 9, 37
+    pts = _random_points(rng, n)
+    pts[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    w = rng.uniform(0.5, 1.5, n)
+    rule = QuadratureRule(pts, w * FOUR_PI / np.sum(w), exactness=0)
+    f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+    one_fwd = _forward_direct_values(f, rule, lmax)
+    one_adj = _adjoint_direct_values(g, lmax, pts)
+    # At most 16, then at most 5, points per chunk.
+    for per_chunk in (16, 5):
+        monkeypatch.setattr(favest.legendre, "_CHUNK_ENTRIES", per_chunk * (lmax + 1) ** 2)
+        assert len(favest.legendre._point_chunks(n, lmax)) == -(-n // per_chunk)
+        fwd = _forward_direct_values(f, rule, lmax)
+        adj = _adjoint_direct_values(g, lmax, pts)
+        assert np.max(np.abs(fwd - one_fwd)) <= 1e-12 * np.max(np.abs(one_fwd))
+        assert np.max(np.abs(adj - one_adj)) <= 1e-12 * np.max(np.abs(one_adj))
+    y = ylm_table(lmax, pts)
+    ref_fwd = y.conj().T @ (rule.weights[:, None] * f)
+    ref_adj = y @ g
+    assert np.max(np.abs(one_fwd - ref_fwd)) <= 1e-12 * np.max(np.abs(ref_fwd))
+    assert np.max(np.abs(one_adj - ref_adj)) <= 1e-12 * np.max(np.abs(ref_adj))
+
+
+def test_direct_adjoint_rejects_non_unit_points():
+    pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.6]])
+    with pytest.raises(ValueError):
+        adjoint_sht_direct(ScalarCoefficients.zeros(2), pts)
