@@ -8,7 +8,6 @@ fails, 2 for usage or file errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -38,22 +37,6 @@ def _nonneg_int(text: str) -> int:
 def _int_list(text: str) -> list[int]:
     tokens = text.replace(",", " ").split()
     return [int(tok) for tok in tokens]
-
-
-def _resolve_threads(args) -> int:
-    value = getattr(args, "threads", None)
-    if value is None:
-        env = os.environ.get("FAVEST_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(f"FAVEST_THREADS is not an integer: {env!r}") from None
-    if value is None:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise ValueError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _default_exactness(args, lmax: int) -> int:
@@ -167,8 +150,7 @@ def cmd_repeat(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    threads = _resolve_threads(args)
-    records = bench(args.degrees, repetitions=args.reps, seed=args.seed, threads=threads)
+    records = bench(args.degrees, repetitions=args.reps, seed=args.seed)
     header = (
         "lmax",
         "n_points",
@@ -177,7 +159,6 @@ def cmd_bench(args) -> int:
         "adjoint_seconds",
         "forward_ratio",
         "adjoint_ratio",
-        "threads",
     )
     rows = [
         (
@@ -188,7 +169,6 @@ def cmd_bench(args) -> int:
             r.adjoint_seconds,
             r.forward_ratio,
             r.adjoint_ratio,
-            threads,
         )
         for r in records
     ]
@@ -234,14 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    threads_parent = argparse.ArgumentParser(add_help=False)
-    threads_parent.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker thread count (default: FAVEST_THREADS or available cores)",
-    )
-
     quad = sub.add_parser("quad", help="generate and certify quadrature rules")
     quad_sub = quad.add_subparsers(dest="quad_command")
     gen = quad_sub.add_parser("gen-gl", help="write a Gauss-Legendre tensor rule")
@@ -254,8 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.set_defaults(handler=cmd_quad_check)
 
     fwd = sub.add_parser(
-        "fwd", help="forward transform: samples at rule points -> coefficients",
-        parents=[threads_parent],
+        "fwd", help="forward transform: samples at rule points -> coefficients"
     )
     fwd.add_argument("--points", required=True, help="rule file (x y z [w])")
     fwd.add_argument(
@@ -267,8 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fwd.set_defaults(handler=cmd_fwd)
 
     adj = sub.add_parser(
-        "adj", help="adjoint transform: coefficients -> samples at given points",
-        parents=[threads_parent],
+        "adj", help="adjoint transform: coefficients -> samples at given points"
     )
     adj.add_argument("--coeffs", required=True)
     adj.add_argument("--points", required=True, help="rule file (weights ignored)")
@@ -276,8 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     adj.set_defaults(handler=cmd_adj)
 
     rt = sub.add_parser(
-        "roundtrip", help="forward+adjoint error table over degrees",
-        parents=[threads_parent],
+        "roundtrip", help="forward+adjoint error table over degrees"
     )
     rt.add_argument("--field", choices=sorted(TANGENT_FIELDS), required=True)
     rt.add_argument(
@@ -290,8 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rt.set_defaults(handler=cmd_roundtrip)
 
     rp = sub.add_parser(
-        "repeat", help="errors of applying the roundtrip twice",
-        parents=[threads_parent],
+        "repeat", help="errors of applying the roundtrip twice"
     )
     rp.add_argument("--field", choices=sorted(TANGENT_FIELDS), required=True)
     rp.add_argument(
@@ -304,8 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(handler=cmd_repeat)
 
     bn = sub.add_parser(
-        "bench", help="time forward/adjoint transforms over degrees",
-        parents=[threads_parent],
+        "bench", help="time forward/adjoint transforms over degrees"
     )
     bn.add_argument("--degrees", type=_int_list, required=True, metavar="LIST")
     bn.add_argument("--reps", type=_nonneg_int, default=5)
@@ -314,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bn.set_defaults(handler=cmd_bench)
 
     st = sub.add_parser(
-        "stability", help="harmonic-to-envelope ratio table over point counts",
-        parents=[threads_parent],
+        "stability", help="harmonic-to-envelope ratio table over point counts"
     )
     st.add_argument("--degree", type=_nonneg_int, required=True, metavar="L")
     st.add_argument("--n-list", type=_int_list, required=True, metavar="LIST")

@@ -182,17 +182,14 @@ def bench(
     repetitions: int = 5,
     path: str = "fast-scalar",
     seed: int = 0,
-    threads: int | None = None,
 ) -> list[BenchRecord]:
     """Time forward and adjoint transforms over a list of degrees.
 
     Each degree uses its default Gauss-Legendre rule of exactness 2(L+1)
     and seeded random data; per-degree times are medians over
     ``repetitions`` runs, and each record carries the ratio to the
-    previous degree's time (nan for the first).  ``threads`` is recorded
-    by the CLI only; computation is vectorized single-process.
+    previous degree's time (nan for the first).
     """
-    del threads
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     rng = np.random.default_rng(seed)

@@ -46,12 +46,17 @@ def tri_size(lmax: int) -> int:
     return (lmax + 1) * (lmax + 2) // 2
 
 
-def _point_chunks(n: int, lmax: int) -> list[slice]:
-    """Equal batches of n points whose order-major tables fit in ``_CHUNK_ENTRIES``."""
-    most = max(1, _CHUNK_ENTRIES // (lmax + 1) ** 2)
+def _batches(n: int, per_item: int, limit: int) -> list[slice]:
+    """Equal batches of n items of ``per_item`` entries, at most ``limit`` entries each."""
+    most = max(1, limit // per_item)
     count = -(-n // most)
     step = -(-n // count) if n else 1
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _point_chunks(n: int, lmax: int) -> list[slice]:
+    """Equal batches of n points whose order-major tables fit in ``_CHUNK_ENTRIES``."""
+    return _batches(n, (lmax + 1) ** 2, _CHUNK_ENTRIES)
 
 
 def _order_phases(lmax: int, phi: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Scalar spherical harmonic transforms: direct sums and the fast grid path.
+"""Scalar spherical harmonic transforms: direct sums, the fast grid path and a NUFFT.
 
 The forward transform computes quadrature approximations of the Fourier
 coefficients,
@@ -28,16 +28,33 @@ small matmul against its block, so a transform needs O(N) working memory
 beyond the plan, which holds about n_theta * (lmax + 1)**2 / 2 doubles.
 The grid's ring arrays are read-only and its fields frozen, so a cached
 plan cannot go stale.
+
+The NUFFT route serves arbitrary points in O(lmax**3 + M) arithmetic, after
+Keiner, Kunis & Potts ("Using NFFT 3", ACM TOMS 36(4), 2009).  Extended to
+colatitudes in [0, 2pi) by f(2pi - theta, phi) = f(theta, phi + pi), the
+partial sum is a 2-D trigonometric polynomial of degree lmax in theta and
+phi.  The adjoint samples it with the fast path on an auxiliary grid of
+n = 2*lmax + 2 longitudes and n/2 rings (its plan holds about
+(lmax + 2)**3 / 2 doubles, cached per lmax), takes its Fourier coefficients
+with one FFT, and evaluates it at the points by a type-2 NUFFT: the
+coefficients, divided by the Fourier transform of the exponential-of-
+semicircle kernel (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
+41(5), 2019), are synthesized on a twice oversampled grid and interpolated
+with the kernel's 13 x 13 stencil.  The forward is the exact transpose of
+those steps, so it stays the weighted adjoint to rounding.  Both agree with
+the direct sums to about 1e-12 relative.  The stencil is built per call,
+in point batches of at most ``_STENCIL_ENTRIES`` weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size, from_spherical
-from .legendre import _legendre_by_order, _order_phases, _point_chunks, legendre_table
+from .legendre import _batches, _legendre_by_order, _order_phases, _point_chunks
 
 
 @dataclass(frozen=True)
@@ -216,13 +233,12 @@ def _plan(grid: TensorGrid, lmax: int) -> list[tuple[int, np.ndarray, float, np.
         _require_bandwidth(grid, lmax)
         t = np.cos(grid.ring_thetas)
         blocks = [np.empty((grid.n_theta, lmax - am + 1)) for am in range(lmax + 1)]
-        # One batch of rings at a time, so the full triangular table and
+        # One batch of rings at a time, so the full order-major table and
         # the blocks are never held together.
         for rings in _point_chunks(grid.n_theta, lmax):
-            p = legendre_table(lmax, t[rings])
+            q = _legendre_by_order(lmax, t[rings])
             for am, block in enumerate(blocks):
-                ls = np.arange(am, lmax + 1)
-                block[rings] = p[:, ls * (ls + 1) // 2 + am]
+                block[rings] = q[am, am:].T
         for block in blocks:
             block.flags.writeable = False
         plan = []
@@ -275,3 +291,127 @@ def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.
 def adjoint_sht_fast(coeffs: ScalarCoefficients, grid: TensorGrid) -> np.ndarray:
     """Evaluate the harmonic partial sum on a tensor grid via FFTs."""
     return _adjoint_fast_values(coeffs.values[:, None], coeffs.lmax, grid)[:, 0]
+
+
+#: Width, in fine-grid points per axis, of the NUFFT's spreading kernel.
+_NUFFT_WIDTH = 13
+#: Most kernel weights one stencil block may hold; bounds working memory.
+_STENCIL_ENTRIES = 1 << 18
+
+
+def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
+    """Exponential of semicircle exp(beta * (sqrt(1 - z**2) - 1)), beta = 2.30 * width."""
+    return np.exp(2.3 * width * (np.sqrt(np.maximum(0.0, 1.0 - z * z)) - 1.0))
+
+
+@lru_cache(maxsize=4)
+def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.ndarray]:
+    """The auxiliary grid, where its kept frequencies sit, and their factors.
+
+    The grid has n = 2*lmax + 2 longitudes and the n/2 rings
+    theta_j = pi * (2j + 1) / n with unit weights, so that with its
+    reflection theta -> 2pi - theta it is the equispaced n x n torus grid
+    offset by half a step in theta.  The frequencies -lmax..lmax of each
+    axis sit at ``coarse`` in the n x n spectrum and at ``fine`` in the
+    spectrum of the 2n x 2n fine grid.  ``factors[k1, k2]`` turns the
+    unscaled DFT of the torus samples into fine-grid coefficients: it
+    divides by n**2, removes the half-step offset with exp(-i*k1*pi/n) and
+    divides by the kernel's Fourier transform p(k1) * p(k2), where
+
+        p(k) = (w/2) * int_{-1}^{1} kernel(z) cos(k * w * pi * z / (2n)) dz
+
+    is evaluated by Gauss-Legendre quadrature.
+    """
+    n = 2 * lmax + 2
+    grid = TensorGrid(np.pi * (2 * np.arange(n // 2) + 1) / n, np.ones(n // 2), n)
+    freqs = np.r_[0 : lmax + 1, -lmax:0]
+    z, wz = np.polynomial.legendre.leggauss(4 * width)
+    p = 0.5 * width * (np.cos(np.outer(freqs, z) * (width * np.pi / (2 * n))) @ (wz * _es_kernel(z, width)))
+    factors = (np.exp(-1j * np.pi * freqs / n) / (n * n * p))[:, None] / p[None, :]
+    factors.flags.writeable = False
+    return grid, np.ix_(freqs % n, freqs % n), np.ix_(freqs % (2 * n), freqs % (2 * n)), factors
+
+
+def _stencil(theta: np.ndarray, phi: np.ndarray, n_fine: int, width: int):
+    """CSR block of kernel weights from the points to the fine torus grid.
+
+    Row k holds the width x width tensor-product kernel weights of point
+    (theta[k], phi[k]) at its nearest nodes of the n_fine x n_fine grid of
+    spacing 2pi/n_fine, wrapped periodically; columns are ring-major.
+    """
+    from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
+
+    offsets = np.arange(width)
+    axes = []
+    for x in (theta, phi):
+        s = x * (n_fine / (2.0 * np.pi))
+        start = np.ceil(s - 0.5 * width)
+        # The width nodes within width/2 grid steps of the point.
+        weights = _es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width)
+        # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
+        nodes = (start.astype(np.int32)[:, None] + offsets.astype(np.int32)) % n_fine
+        axes.append((nodes, weights))
+    (rows, wt), (cols, wp) = axes
+    indices = (rows[:, :, None] * n_fine + cols[:, None, :]).reshape(-1)
+    data = (wt[:, :, None] * wp[:, None, :]).reshape(-1)
+    indptr = np.arange(0, data.size + 1, width * width, dtype=np.int32)
+    return csr_array((data, indices, indptr), shape=(theta.size, n_fine * n_fine))
+
+
+def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # theta from z as the direct sums take it: sin(theta) = sqrt(1 - z**2).
+    return np.arccos(np.clip(points[:, 2], -1.0, 1.0)), np.arctan2(points[:, 1], points[:, 0])
+
+
+def _adjoint_nufft_values(values: np.ndarray, lmax: int, points: np.ndarray) -> np.ndarray:
+    """Adjoint sum at arbitrary points through the auxiliary grid and a 2-D NUFFT.
+
+    The partial sum, extended to theta in [0, 2pi) by f(2pi - theta, phi) =
+    f(theta, phi + pi), is a 2-D trigonometric polynomial of degree lmax in
+    each variable.  Its samples on the auxiliary grid (the fast path) give
+    its Fourier coefficients by one FFT; a type-2 NUFFT with the
+    exponential-of-semicircle kernel evaluates it at the points.
+    """
+    pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+    width = _NUFFT_WIDTH
+    grid, coarse, fine_at, factors = _nufft_setup(lmax, width)
+    n, c = grid.n_phi, values.shape[1]
+    half = _adjoint_fast_values(values, lmax, grid).reshape(n // 2, n, c)
+    torus = np.concatenate([half, np.roll(half[::-1], n // 2, axis=1)])
+    spectrum = np.fft.fft2(torus, axes=(0, 1))
+    fine = np.zeros((2 * n, 2 * n, c), dtype=np.complex128)
+    fine[fine_at] = factors[..., None] * spectrum[coarse]
+    # The fine-grid values as real pairs, one row per node.
+    nodes = np.fft.ifft2(fine, axes=(0, 1), norm="forward").reshape(-1, c).view(np.float64)
+    theta, phi = _sphere_angles(pts)
+    out = np.empty((pts.shape[0], 2 * c), dtype=np.float64)
+    for batch in _batches(pts.shape[0], width * width, _STENCIL_ENTRIES):
+        out[batch] = _stencil(theta[batch], phi[batch], 2 * n, width) @ nodes
+    return out.view(np.complex128)
+
+
+def _forward_nufft_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.ndarray:
+    """Forward sums at arbitrary points: the exact transpose of the NUFFT adjoint.
+
+    Spreads the weighted samples onto the fine grid (type-1 NUFFT), crops
+    and scales its spectrum with the conjugate factors, folds the reflected
+    half of the torus back, and analyses on the auxiliary grid.
+    """
+    vals = _check_samples(f, len(rule))
+    wf = rule.weights[:, None] * np.atleast_2d(vals.T).T
+    pts = check_unit(rule.points)
+    width = _NUFFT_WIDTH
+    grid, coarse, fine_at, factors = _nufft_setup(lmax, width)
+    n, c = grid.n_phi, wf.shape[1]
+    theta, phi = _sphere_angles(pts)
+    rows = wf.view(np.float64)
+    nodes = np.zeros((4 * n * n, 2 * c), dtype=np.float64)
+    for batch in _batches(len(rule), width * width, _STENCIL_ENTRIES):
+        nodes += _stencil(theta[batch], phi[batch], 2 * n, width).T @ rows[batch]
+    fine = np.fft.fft2(nodes.view(np.complex128).reshape(2 * n, 2 * n, c), axes=(0, 1))
+    spectrum = np.zeros((n, n, c), dtype=np.complex128)
+    spectrum[coarse] = factors.conj()[..., None] * fine[fine_at]
+    torus = np.fft.ifft2(spectrum, axes=(0, 1), norm="forward")
+    half = torus[: n // 2] + np.roll(torus[n // 2 :][::-1], n // 2, axis=1)
+    out = _forward_fast_values(half.reshape(-1, c), grid, lmax)
+    return out if vals.ndim == 2 else out[:, 0]

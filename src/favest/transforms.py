@@ -11,17 +11,26 @@ degree L+1 plus O(L^2) coupling arithmetic:
   them into one degree-(L+1) scalar coefficient array per Cartesian
   component, and scalar-synthesize.
 
-Each scalar transform runs either as a direct sum over arbitrary points or
-on the fast iso-latitude FFT path; ``path="auto"`` picks the fast path
-whenever the rule carries a tensor grid with enough longitudes.  The two
-routes are algebraically identical to the direct vector transforms for any
+Each scalar transform runs on one of three routes:
+
+* "fast-scalar": the iso-latitude FFT path, O(L^3) on a tensor grid;
+* "nufft": any points, through an auxiliary grid and a 2-D non-equispaced
+  FFT, O(L^3 + M) on M points and accurate to about 1e-12 relative;
+* "direct-scalar": direct sums over any points, O(M L^2).
+
+``path="auto"`` takes the fast path whenever the rule carries a tensor grid
+with enough longitudes.  Otherwise it takes the NUFFT from scalar degree
+33 (vector degree 32) and 2000 points on, where it measured faster than
+the direct sums, and the direct sums below.  The fast and direct routes
+are algebraically identical to the direct vector transforms for any
 point/weight family, not just exact rules - that identity is the main
-correctness test of the package.
+correctness test of the package; the NUFFT matches them to its accuracy.
 
 Nothing needs to be prepared by the caller.  The coupling tables are cached
 per lmax, and the fast path builds a plan per (grid, lmax) on first use and
 keeps it on the grid, so repeated transforms on one grid pay only the FFTs,
 the per-order matmuls and the coupling arithmetic, in O(N) working memory.
+The NUFFT route caches its auxiliary grid, with its plan, per degree.
 Non-finite input values are rejected with ValueError.
 """
 
@@ -43,11 +52,17 @@ from .scalar import (
     TensorGrid,
     _adjoint_direct_values,
     _adjoint_fast_values,
+    _adjoint_nufft_values,
     _forward_direct_values,
     _forward_fast_values,
+    _forward_nufft_values,
 )
 
-PATHS = ("auto", "direct-scalar", "fast-scalar")
+PATHS = ("auto", "direct-scalar", "fast-scalar", "nufft")
+# Below these a scalar transform's direct sums beat the NUFFT route, whose
+# cost per point does not grow with the degree (measurements in CHANGES.md).
+_NUFFT_MIN_DEGREE = 33
+_NUFFT_MIN_POINTS = 2000
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -61,12 +76,17 @@ def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, Quadra
     return pts, None, None
 
 
-def _pick_path(path: str, grid: TensorGrid | None, lmax: int) -> bool:
-    """Return True for the fast path; raise if an explicit request is impossible."""
+def _pick_path(path: str, grid: TensorGrid | None, lmax: int, n_points: int) -> str:
+    """Name the scalar route for a degree-lmax vector transform on n_points points.
+
+    "auto" takes "fast-scalar" when the grid has enough longitudes, else
+    "nufft" from scalar degree ``_NUFFT_MIN_DEGREE`` and ``_NUFFT_MIN_POINTS``
+    points on, else "direct-scalar".  An explicit "fast-scalar" request that
+    the grid cannot serve raises ValueError.
+    """
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
     needed = 2 * (lmax + 1) + 1
-    usable = grid is not None and grid.n_phi >= needed
     if path == "fast-scalar":
         if grid is None:
             raise ValueError("fast-scalar path requires a rule with tensor-grid structure")
@@ -75,10 +95,13 @@ def _pick_path(path: str, grid: TensorGrid | None, lmax: int) -> bool:
                 f"fast-scalar path needs n_phi >= {needed} for degree {lmax}, "
                 f"grid has n_phi={grid.n_phi}"
             )
-        return True
-    if path == "direct-scalar":
-        return False
-    return usable
+    if path != "auto":
+        return path
+    if grid is not None and grid.n_phi >= needed:
+        return "fast-scalar"
+    if lmax + 1 >= _NUFFT_MIN_DEGREE and n_points >= _NUFFT_MIN_POINTS:
+        return "nufft"
+    return "direct-scalar"
 
 
 def forward_favest(
@@ -97,8 +120,10 @@ def forward_favest(
         Points and weights; a tensor-grid rule enables the fast path.
     lmax : int
         Largest vector degree to produce, >= 1.
-    path : {"auto", "direct-scalar", "fast-scalar"}
-        Scalar backend selection; "auto" uses the FFT path when available.
+    path : {"auto", "direct-scalar", "fast-scalar", "nufft"}
+        Scalar route.  "auto" uses the FFT path when the rule's grid allows
+        it, else "nufft" from lmax >= 32 and 2000 points on, else the
+        direct sums.  "nufft" and "direct-scalar" run on any rule.
 
     Raises ValueError on non-finite sample values.
     """
@@ -110,15 +135,17 @@ def forward_favest(
         raise ValueError("sample points do not match the quadrature rule points")
     if not np.all(np.isfinite(samples.values)):
         raise ValueError("sample values must be finite")
-    use_fast = _pick_path(path, rule.grid, lmax)
+    route = _pick_path(path, rule.grid, lmax, len(rule))
 
     t1 = samples.values[:, 0]
     t2 = samples.values[:, 1]
     t3 = samples.values[:, 2]
     combos = np.stack([-t1 + 1j * t2, t1 + 1j * t2, t3], axis=1)
     top = lmax + 1
-    if use_fast:
+    if route == "fast-scalar":
         f = _forward_fast_values(combos, rule.grid, top)
+    elif route == "nufft":
+        f = _forward_nufft_values(combos, rule, top)
     else:
         f = _forward_direct_values(combos, rule, top)
     fu, fv, fw = f[:, 0], f[:, 1], f[:, 2]
@@ -151,7 +178,8 @@ def adjoint_favest(
     """Adjoint vector transform: synthesize the tangent field at points.
 
     ``rule_or_points`` may be a QuadratureRule, a TensorGrid, or a raw
-    (N, 3) array of unit points; weights are never used.  The synthesis
+    (N, 3) array of unit points; weights are never used.  ``path`` picks
+    the scalar route as in :func:`forward_favest`.  The synthesis
     merges the nine coupling arrays into three scalar coefficient tables of
     degree lmax+1, one per Cartesian component.  Raises ValueError on
     non-finite coefficient values.
@@ -159,7 +187,7 @@ def adjoint_favest(
     if not (np.all(np.isfinite(coeffs.div.values)) and np.all(np.isfinite(coeffs.curl.values))):
         raise ValueError("coefficient values must be finite")
     points, grid, _ = _resolve_grid(rule_or_points)
-    use_fast = _pick_path(path, grid, coeffs.lmax)
+    route = _pick_path(path, grid, coeffs.lmax, points.shape[0])
     coupling = build_adjoint_coupling(coeffs)
     nu = coupling.nu
     eta = coupling.eta
@@ -172,8 +200,10 @@ def adjoint_favest(
         axis=1,
     )
     top = coeffs.lmax + 1
-    if use_fast:
+    if route == "fast-scalar":
         values = _adjoint_fast_values(merged, top, grid)
+    elif route == "nufft":
+        values = _adjoint_nufft_values(merged, top, points)
     else:
         values = _adjoint_direct_values(merged, top, points)
     return TangentFieldSamples(points=points, values=values)

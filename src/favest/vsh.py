@@ -12,7 +12,10 @@ spin components out in the Cartesian basis gives, per family,
 These direct evaluations are the reference route: the fast transforms must
 reproduce them exactly (they are the same finite sums reorganized), which
 is what the equivalence tests pin down.  Direct transforms cost O(N L^2)
-with a per-degree constant and exist for validation, not speed.
+with a per-degree constant and exist for validation, not speed.  They
+batch the points so that each batch's Y table holds at most
+``legendre._CHUNK_ENTRIES`` doubles, and share no contraction code with
+the scalar transforms they check.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .core import (
     check_unit,
     flat_size,
 )
+from . import legendre
 from .coupling import cg_explicit, coupling_weight_c, coupling_weight_d
 from .legendre import ylm_table
 
@@ -71,6 +75,11 @@ def _spin_to_cartesian(plus: np.ndarray, zero: np.ndarray, minus: np.ndarray) ->
         [-_INV_SQRT2 * (plus - minus), -1j * _INV_SQRT2 * (plus + minus), zero],
         axis=-1,
     )
+
+
+def _table_batches(n: int, lmax: int) -> list[slice]:
+    """Point batches whose complex degree-(lmax+1) Y table holds at most ``_CHUNK_ENTRIES`` doubles."""
+    return legendre._batches(n, 2 * (lmax + 2) ** 2, legendre._CHUNK_ENTRIES)
 
 
 def _families_from_table(l: int, m: int, table: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,16 +127,17 @@ def forward_vsht_direct(
         samples.points, rule.points, rtol=0.0, atol=1e-12
     ):
         raise ValueError("sample points do not match the quadrature rule points")
-    table = ylm_table(lmax + 1, rule.points)
     weighted = rule.weights[:, None] * samples.values
     a = np.zeros(flat_size(lmax), dtype=np.complex128)
     b = np.zeros(flat_size(lmax), dtype=np.complex128)
-    for l in range(1, lmax + 1):
-        for m in range(-l, l + 1):
-            div, curl = _families_from_table(l, m, table, lmax + 1)
-            k = l * l + l + m
-            a[k] = np.sum(div.conj() * weighted)
-            b[k] = np.sum(curl.conj() * weighted)
+    for batch in _table_batches(len(rule), lmax):
+        table = ylm_table(lmax + 1, rule.points[batch])
+        for l in range(1, lmax + 1):
+            for m in range(-l, l + 1):
+                div, curl = _families_from_table(l, m, table, lmax + 1)
+                k = l * l + l + m
+                a[k] += np.sum(div.conj() * weighted[batch])
+                b[k] += np.sum(curl.conj() * weighted[batch])
     return VectorCoefficients(ScalarCoefficients(lmax, a), ScalarCoefficients(lmax, b))
 
 
@@ -135,15 +145,16 @@ def adjoint_vsht_direct(coeffs: VectorCoefficients, points: np.ndarray) -> Tange
     """Synthesize the tangent field sum of a(l,m) ydiv + b(l,m) ycurl."""
     pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     lmax = coeffs.lmax
-    table = ylm_table(lmax + 1, pts)
     out = np.zeros((pts.shape[0], 3), dtype=np.complex128)
-    for l in range(1, lmax + 1):
-        for m in range(-l, l + 1):
-            k = l * l + l + m
-            a = coeffs.div.values[k]
-            b = coeffs.curl.values[k]
-            if a == 0.0 and b == 0.0:
-                continue
-            div, curl = _families_from_table(l, m, table, lmax + 1)
-            out += a * div + b * curl
+    for batch in _table_batches(pts.shape[0], lmax):
+        table = ylm_table(lmax + 1, pts[batch])
+        for l in range(1, lmax + 1):
+            for m in range(-l, l + 1):
+                k = l * l + l + m
+                a = coeffs.div.values[k]
+                b = coeffs.curl.values[k]
+                if a == 0.0 and b == 0.0:
+                    continue
+                div, curl = _families_from_table(l, m, table, lmax + 1)
+                out[batch] += a * div + b * curl
     return TangentFieldSamples(points=pts, values=out)

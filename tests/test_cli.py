@@ -254,24 +254,14 @@ class TestTables:
         assert float(rows[1][6]) <= 1e-9
         assert "drift=" in capsys.readouterr().out
 
-    def test_bench_table_and_threads_column(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FAVEST_THREADS", "2")
+    def test_bench_table(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--degrees", "4 8", "--reps", "1", "--out", str(out)])
         assert code == 0
         rows = _csv_rows(out)
-        assert rows[0][-1] == "threads"
-        assert rows[1][-1] == "2"
+        assert rows[0][-1] == "adjoint_ratio"
         assert rows[1][5] == "nan"  # no previous degree to compare against
         assert float(rows[2][5]) > 0.0
-
-    def test_bench_rejects_bad_threads(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FAVEST_THREADS", "zero")
-        code = main(
-            ["bench", "--degrees", "4", "--reps", "1", "--out", str(tmp_path / "b.csv")]
-        )
-        assert code == 2
-        assert "FAVEST_THREADS" in capsys.readouterr().err
 
     def test_stability_table(self, tmp_path):
         out = tmp_path / "stab.csv"

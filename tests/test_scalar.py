@@ -8,7 +8,9 @@ from favest.quadrature import gen_gl_tensor
 from favest.scalar import (
     TensorGrid,
     _adjoint_direct_values,
+    _adjoint_nufft_values,
     _forward_direct_values,
+    _forward_nufft_values,
     adjoint_sht_direct,
     adjoint_sht_fast,
     forward_sht_direct,
@@ -170,3 +172,83 @@ def test_direct_adjoint_rejects_non_unit_points():
     pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.6]])
     with pytest.raises(ValueError):
         adjoint_sht_direct(ScalarCoefficients.zeros(2), pts)
+
+
+def _awkward_points(rng, n):
+    """Random points led by both poles, phi = 0, phi = pi and phi just below 2pi."""
+    pts = _random_points(rng, n)
+    s = np.sin(0.7)
+    special = [
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0],
+        [s, 0.0, np.cos(0.7)],
+        [-s, 0.0, np.cos(0.7)],
+        [s * np.cos(1e-13), -s * np.sin(1e-13), np.cos(0.7)],
+    ]
+    k = min(n, len(special))
+    pts[:k] = special[:k]
+    return pts
+
+
+def _relative(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n, lmax", [(1, 5), (1, 40), (7, 0), (60, 3), (700, 17), (2500, 65)])
+def test_nufft_matches_direct(n, lmax):
+    rng = np.random.default_rng([n, lmax])
+    pts = _awkward_points(rng, n)
+    w = rng.uniform(0.5, 1.5, n)
+    rule = QuadratureRule(pts, w * FOUR_PI / np.sum(w), exactness=0)
+    f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+    assert _relative(_adjoint_nufft_values(g, lmax, pts), _adjoint_direct_values(g, lmax, pts)) <= 1e-11
+    forward = _forward_nufft_values(f, rule, lmax)
+    assert _relative(forward, _forward_direct_values(f, rule, lmax)) <= 1e-11
+    single = _forward_nufft_values(f[:, 1], rule, lmax)
+    assert single.shape == (flat_size(lmax),)
+    assert np.array_equal(single, _forward_nufft_values(f[:, 1:2], rule, lmax)[:, 0])
+
+
+def test_nufft_error_falls_as_kernel_widens(monkeypatch):
+    rng = np.random.default_rng(37)
+    lmax = 30
+    pts = _awkward_points(rng, 400)
+    rule = QuadratureRule(pts, np.full(400, FOUR_PI / 400), exactness=0)
+    g = rng.standard_normal((flat_size(lmax), 1)) + 1j * rng.standard_normal((flat_size(lmax), 1))
+    f = rng.standard_normal((400, 1)) + 1j * rng.standard_normal((400, 1))
+    adjoint = _adjoint_direct_values(g, lmax, pts)
+    forward = _forward_direct_values(f, rule, lmax)
+    errors = []
+    for width in (3, 5, 7, 9, 11, 13):
+        monkeypatch.setattr(favest.scalar, "_NUFFT_WIDTH", width)
+        errors.append((
+            _relative(_adjoint_nufft_values(g, lmax, pts), adjoint),
+            _relative(_forward_nufft_values(f, rule, lmax), forward),
+        ))
+    # About one digit per unit of width: each step of two gains at least 30x.
+    for wider, narrower in zip(errors[1:], errors):
+        assert wider[0] * 30 <= narrower[0] and wider[1] * 30 <= narrower[1], errors
+    assert max(errors[-1]) <= 1e-11
+
+
+def test_nufft_stencil_batches_match_one_batch(monkeypatch):
+    rng = np.random.default_rng(41)
+    lmax, n = 12, 50
+    pts = _awkward_points(rng, n)
+    rule = QuadratureRule(pts, np.full(n, FOUR_PI / n), exactness=0)
+    f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+    one_fwd = _forward_nufft_values(f, rule, lmax)
+    one_adj = _adjoint_nufft_values(g, lmax, pts)
+    width = favest.scalar._NUFFT_WIDTH
+    monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 8 * width * width)
+    assert len(favest.legendre._batches(n, width * width, 8 * width * width)) == 7
+    assert np.array_equal(_adjoint_nufft_values(g, lmax, pts), one_adj)
+    assert _relative(_forward_nufft_values(f, rule, lmax), one_fwd) <= 1e-14
+
+
+def test_nufft_adjoint_rejects_non_unit_points():
+    pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.6]])
+    with pytest.raises(ValueError):
+        _adjoint_nufft_values(np.zeros((flat_size(2), 1), dtype=np.complex128), 2, pts)

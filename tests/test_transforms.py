@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import favest.scalar
+import favest.transforms
 from favest.core import (
     FOUR_PI,
     QuadratureRule,
@@ -106,14 +107,51 @@ def test_monopole_entries_are_exactly_zero():
 def test_paths_agree_and_bad_path_rejected():
     rng = np.random.default_rng(14)
     lmax = 6
-    _, rule = gen_gl_tensor(2 * (lmax + 1))
+    grid, rule = gen_gl_tensor(2 * (lmax + 1))
     samples = _random_tangent(rng, rule.points)
+    coeffs = _random_coeffs(rng, lmax)
     fast = forward_favest(samples, rule, lmax, path="fast-scalar")
-    direct = forward_favest(samples, rule, lmax, path="direct-scalar")
-    assert np.max(np.abs(fast.div.values - direct.div.values)) <= 1e-11
-    assert np.max(np.abs(fast.curl.values - direct.curl.values)) <= 1e-11
+    synthesis = adjoint_favest(coeffs, rule, path="fast-scalar").values
+    for path in ("direct-scalar", "nufft"):
+        other = forward_favest(samples, rule, lmax, path=path)
+        assert np.max(np.abs(fast.div.values - other.div.values)) <= 1e-11, path
+        assert np.max(np.abs(fast.curl.values - other.curl.values)) <= 1e-11, path
+        for where in (rule, grid, rule.points):
+            values = adjoint_favest(coeffs, where, path=path).values
+            assert np.max(np.abs(values - synthesis)) <= 1e-11 * np.max(np.abs(synthesis)), path
     with pytest.raises(ValueError):
         forward_favest(samples, rule, lmax, path="warp")
+
+
+def test_auto_routes_by_degree_and_point_count(monkeypatch):
+    routes = []
+    for name in ("_forward_direct_values", "_adjoint_direct_values",
+                 "_forward_nufft_values", "_adjoint_nufft_values",
+                 "_forward_fast_values", "_adjoint_fast_values"):
+        def record(*args, _fn=getattr(favest.transforms, name), _name=name):
+            routes.append(_name.split("_")[2])
+            return _fn(*args)
+
+        monkeypatch.setattr(favest.transforms, name, record)
+    rng = np.random.default_rng(20)
+    top = favest.transforms._NUFFT_MIN_DEGREE  # scalar degree of vector degree top - 1
+    most = favest.transforms._NUFFT_MIN_POINTS
+    for lmax, n, expected in (
+        (top - 1, most, "nufft"),
+        (top - 1, most - 1, "direct"),
+        (top - 2, most, "direct"),
+    ):
+        rule = QuadratureRule(_random_points(rng, n), np.full(n, FOUR_PI / n), exactness=0)
+        coeffs = _random_coeffs(rng, lmax)
+        samples = adjoint_favest(coeffs, rule)
+        forward_favest(samples, rule, lmax)
+        adjoint_favest(coeffs, rule.points)
+        assert routes == [expected] * 3, (lmax, n, routes)
+        routes.clear()
+    # A grid with enough longitudes keeps the FFT path at any size.
+    _, gl = gen_gl_tensor(2 * top)
+    adjoint_favest(_random_coeffs(rng, top - 1), gl)
+    assert routes == ["fast"]
 
 
 def test_fast_path_needs_enough_longitudes():
@@ -230,7 +268,9 @@ def test_adjointness_on_every_path(seed):
     rng = np.random.default_rng([9, seed])
     lmax = int(rng.integers(1, 13))
     _, gl = gen_gl_tensor(2 * (lmax + 1))
-    cases = [(gl, "fast-scalar"), (gl, "direct-scalar"), (_weighted_rule(rng, 150), "direct-scalar")]
+    scattered = _weighted_rule(rng, 150)
+    cases = [(gl, "fast-scalar"), (gl, "direct-scalar"), (gl, "nufft"),
+             (scattered, "direct-scalar"), (scattered, "nufft")]
     for rule, path in cases:
         values = rng.standard_normal((len(rule), 3)) + 1j * rng.standard_normal((len(rule), 3))
         samples = TangentFieldSamples(rule.points, values)
@@ -244,13 +284,13 @@ def test_adjointness_on_every_path(seed):
 
 def test_grid_plan_is_built_once_per_lmax(monkeypatch):
     calls = []
-    original = favest.scalar.legendre_table
+    original = favest.scalar._legendre_by_order
 
     def counting(lmax, t):
         calls.append(lmax)
         return original(lmax, t)
 
-    monkeypatch.setattr(favest.scalar, "legendre_table", counting)
+    monkeypatch.setattr(favest.scalar, "_legendre_by_order", counting)
     rng = np.random.default_rng(18)
     lmax = 6
     grid, rule = gen_gl_tensor(2 * (lmax + 2))

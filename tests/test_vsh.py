@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from favest.core import ScalarCoefficients, VectorCoefficients, flat_index, flat_size
+import favest.legendre
+from favest.core import (
+    FOUR_PI,
+    QuadratureRule,
+    ScalarCoefficients,
+    VectorCoefficients,
+    flat_index,
+    flat_size,
+)
 from favest.coupling import clebsch_gordan, coupling_weight_c, coupling_weight_d
 from favest.legendre import eval_ylm
 from favest.quadrature import gen_gl_tensor
@@ -175,3 +185,30 @@ def test_direct_forward_after_adjoint_is_identity():
     rec = forward_vsht_direct(field, rule, lmax)
     assert np.max(np.abs(rec.div.values - coeffs.div.values)) <= 1e-9
     assert np.max(np.abs(rec.curl.values - coeffs.curl.values)) <= 1e-9
+
+
+def test_direct_oracles_batch_points_in_bounded_memory(monkeypatch):
+    rng = np.random.default_rng(47)
+    lmax, n = 8, 600
+    pts = _random_points(rng, n)
+    rule = QuadratureRule(pts, np.full(n, FOUR_PI / n), exactness=0)
+    samples = TangentFieldSamples(pts, rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+    one_fwd = forward_vsht_direct(samples, rule, lmax)
+    one_adj = adjoint_vsht_direct(one_fwd, pts).values
+    # Three batches of 200 points, each with a (200, (lmax + 2)**2) complex table.
+    limit = 200 * 2 * (lmax + 2) ** 2
+    monkeypatch.setattr(favest.legendre, "_CHUNK_ENTRIES", limit)
+    peaks = []
+    for call in (lambda: forward_vsht_direct(samples, rule, lmax), lambda: adjoint_vsht_direct(one_fwd, pts)):
+        tracemalloc.start()
+        try:
+            result = call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # One batch's table is 8 * limit bytes; the whole table would be three times that.
+    assert max(peaks) <= 6 * 8 * limit, peaks
+    fwd = forward_vsht_direct(samples, rule, lmax)
+    for got, want in ((fwd.div.values, one_fwd.div.values), (fwd.curl.values, one_fwd.curl.values)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(result.values, one_adj)
