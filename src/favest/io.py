@@ -22,6 +22,7 @@ from .core import (
     to_spherical,
 )
 from .quadrature import QuadratureRule, _read_columns, _renormalize
+from .scalar import TensorGrid
 
 SAMPLES_HEADER = ("theta", "phi", "t1_re", "t1_im", "t2_re", "t2_im", "t3_re", "t3_im")
 
@@ -43,16 +44,45 @@ def read_rule_file(path, exactness: int, kind: str | None = None) -> QuadratureR
 
     The file carries no exactness metadata; the caller states the degree the
     rule is claimed to integrate. Use quadrature.verify_exactness to check it.
+    A file that lists an iso-latitude tensor grid ring by ring, as
+    ``write_rule_file`` writes a Gauss-Legendre rule, gets its ``TensorGrid``
+    back, so transforms on it can take the fast path.
     """
     data = _read_columns(path)
     if data.shape[1] not in (3, 4):
         raise ValueError(f"{path}: rule files have 3 or 4 columns, got {data.shape[1]}")
     points = _renormalize(data[:, :3], path)
     if data.shape[1] == 3:
-        n = len(points)
-        weights = np.full(n, 4.0 * np.pi / n)
-        return QuadratureRule(points, weights, exactness, kind or "spherical-design")
-    return QuadratureRule(points, data[:, 3].copy(), exactness, kind or "custom")
+        weights = np.full(len(points), 4.0 * np.pi / len(points))
+        kind = kind or "spherical-design"
+    else:
+        weights = data[:, 3].copy()
+        kind = kind or "custom"
+    return QuadratureRule(points, weights, exactness, kind, grid=_ring_grid(points, weights))
+
+
+def _ring_grid(points: np.ndarray, weights: np.ndarray) -> TensorGrid | None:
+    """The tensor grid of a ring-major rule, or None if the rule has none.
+
+    n_phi is the length of the leading run of points whose z agrees with
+    the first point's to 1e-14, and each run of n_phi points is one ring,
+    with equal weights (to 1e-12 relative, as the rule checks them).  The
+    grid rebuilt from the rings' first points must reproduce all points to
+    1e-12, the tolerance :class:`QuadratureRule` holds a grid to: that puts
+    every point of a ring at its z and point j at longitude 2*pi*j/n_phi.
+    """
+    z = points[:, 2]
+    n_phi = int(np.argmax(np.abs(z - z[0]) > 1e-14)) or len(z)
+    if len(z) % n_phi:
+        return None
+    w = weights.reshape(-1, n_phi)
+    if not np.allclose(w, w[:, :1], rtol=1e-12, atol=0.0):
+        return None
+    try:
+        grid = TensorGrid(np.arccos(z[::n_phi]), w[:, 0], n_phi)
+    except ValueError:  # rings out of order, or on a pole
+        return None
+    return grid if np.max(np.abs(grid.points() - points)) <= 1e-12 else None
 
 
 def write_coefficients(path, coeffs: VectorCoefficients) -> None:

@@ -21,21 +21,35 @@ Y(l, -m) = (-1)**m conj(Y(l, m)), that one product serves orders m and -m.
 That costs O(M * lmax**2) arithmetic in O(lmax) Python steps per batch.
 
 The fast path keeps one plan per (grid, lmax) on the grid, built on first
-use: the normalized Legendre values at the ring colatitudes, stored as one
-contiguous (n_theta, lmax - |m| + 1) block per order |m| and filled one
-batch of rings at a time.  After the ring FFT each order m is a single
-small matmul against its block, so a transform needs O(N) working memory
-beyond the plan, which holds about n_theta * (lmax + 1)**2 / 2 doubles.
-The grid's ring arrays are read-only and its fields frozen, so a cached
-plan cannot go stale.
+use.  It pairs mirrored rings and merges orders m and -m, after Schaeffer
+("Efficient spherical harmonic transforms aimed at pseudospectral
+numerical simulations", G-cubed 14, 2013), through the identity
+Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t).  Rings k and n_theta - 1 - k
+pair when cos(theta_k) + cos(theta_{n_theta - 1 - k}) is at most
+``_MIRROR_TOL`` = 8 eps in magnitude; each pair is one plan row, at the
+northern ring's cosine t, and its southern ring is evaluated at -t.  Every
+unpaired ring is a row of its own: the equator of an odd n_theta, or each
+ring of an asymmetric grid.  For each order |m| the plan stores two
+contiguous blocks of the rows' Legendre values, l - m even and l - m odd,
+filled straight from the kernel one batch of rows at a time; that is
+about n_rows * (lmax + 1)**2 / 2 doubles, half the rings' worth on a
+symmetric grid.  After the ring FFT the weighted bins m and -m of each
+row's ring and of its mirror are gathered order-major, into their sum S
+and difference D, so each |m| is two real matmuls (the even block against
+S, the odd block against D) serving m and -m at once, and one precomputed
+gather puts the result in flat order.  The adjoint is the exact
+transpose: a row's ring receives the even plus the odd degrees, its
+mirror the even minus the odd.  A transform needs O(N) working memory
+beyond the plan.  The grid's ring arrays are read-only and its fields
+frozen, so a cached plan cannot go stale.
 
 The NUFFT route serves arbitrary points in O(lmax**3 + M) arithmetic, after
 Keiner, Kunis & Potts ("Using NFFT 3", ACM TOMS 36(4), 2009).  Extended to
 colatitudes in [0, 2pi) by f(2pi - theta, phi) = f(theta, phi + pi), the
 partial sum is a 2-D trigonometric polynomial of degree lmax in theta and
 phi.  The adjoint samples it with the fast path on an auxiliary grid of
-n = 2*lmax + 2 longitudes and n/2 rings (its plan holds about
-(lmax + 2)**3 / 2 doubles, cached per lmax), takes its Fourier coefficients
+n = 2*lmax + 2 longitudes and n/2 mirrored rings (its plan holds about
+(lmax + 2)**3 / 4 doubles, cached per lmax), takes its Fourier coefficients
 with one FFT, and evaluates it at the points by a type-2 NUFFT: the
 coefficients, divided by the Fourier transform of the exponential-of-
 semicircle kernel (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
@@ -65,14 +79,14 @@ class TensorGrid:
     ``ring_weights`` are per-point weights, already including the 2pi/n_phi
     longitudinal factor; each ring carries ``n_phi`` equispaced longitudes
     ``phi_j = 2*pi*j/n_phi``.  Points enumerate ring-major.  The ring arrays
-    are read-only copies, and ``_plans`` caches the fast path's per-order
+    are read-only copies, and ``_plans`` caches the fast path's paired
     Legendre blocks for each lmax it has used (see :func:`_plan`).
     """
 
     ring_thetas: np.ndarray
     ring_weights: np.ndarray
     n_phi: int
-    _plans: dict[int, list] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plans: dict[int, "_GridPlan"] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         th = np.atleast_1d(np.array(self.ring_thetas, dtype=np.float64))
@@ -220,34 +234,105 @@ def _require_bandwidth(grid: TensorGrid, lmax: int) -> None:
         )
 
 
-def _plan(grid: TensorGrid, lmax: int) -> list[tuple[int, np.ndarray, float, np.ndarray]]:
-    """The grid's per-order Legendre blocks for lmax, built on first use and cached.
+#: Two rings pair when their cosines cancel to within this: 8 ulp of 1.
+_MIRROR_TOL = 8.0 * np.finfo(np.float64).eps
 
-    One entry per order m in -lmax..lmax: the DFT bin m mod n_phi, the flat
-    indices of (l, m) for l = |m|..lmax, the sign (-1)**m of negative odd
-    orders, and the contiguous (n_theta, lmax - |m| + 1) block of
-    Pbar(l, |m|, cos(theta_ring)), shared by m and -m.
+
+@dataclass(frozen=True)
+class _GridPlan:
+    """The fast path's precomputed state for one (grid, lmax); see :func:`_plan`."""
+
+    rings: np.ndarray  # (rows,) the ring of each row: paired rows first
+    mirrors: np.ndarray  # (pairs,) the mirrored ring of each paired row
+    weights: np.ndarray  # (rows, 1) weights of the rows' rings
+    mirror_weights: np.ndarray  # (pairs, 1) weights of the mirrored rings
+    even: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m even
+    odd: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m odd
+    starts: list[int]  # per order m: its first accumulator row
+    slots: np.ndarray  # flat (l, m) -> accumulator slot 2 * row + (m < 0)
+    sources: np.ndarray  # accumulator slot -> flat (l, m) or (l, -m)
+    signs: np.ndarray  # per flat (l, m): (-1)**m for m < 0, else 1
+
+
+def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
+    """The grid's paired Legendre blocks for lmax, built on first use and cached.
+
+    Rings k and n_theta - 1 - k pair when their cosines cancel to within
+    ``_MIRROR_TOL``.  Each pair is one row, at the cosine t of its northern
+    ring, and every unpaired ring is a row of its own.  The rows' Legendre
+    values are filled straight from the kernel, one batch of rows at a
+    time, into two contiguous blocks per order m: the degrees with l - m
+    even and those with l - m odd.  The accumulator holds, per order, the
+    even then the odd degrees, each row with the columns of m and of -m.
     """
     plan = grid._plans.get(lmax)
     if plan is None:
         _require_bandwidth(grid, lmax)
-        t = np.cos(grid.ring_thetas)
-        blocks = [np.empty((grid.n_theta, lmax - am + 1)) for am in range(lmax + 1)]
-        # One batch of rings at a time, so the full order-major table and
-        # the blocks are never held together.
-        for rings in _point_chunks(grid.n_theta, lmax):
-            q = _legendre_by_order(lmax, t[rings])
-            for am, block in enumerate(blocks):
-                block[rings] = q[am, am:].T
-        for block in blocks:
-            block.flags.writeable = False
-        plan = []
-        for m in range(-lmax, lmax + 1):
-            ls = np.arange(abs(m), lmax + 1)
-            sign = -1.0 if m < 0 and m % 2 else 1.0
-            plan.append((m % grid.n_phi, ls * ls + ls + m, sign, blocks[abs(m)]))
+        plan = _build_plan(grid, lmax)
         grid._plans[lmax] = plan
     return plan
+
+
+def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
+    t = np.cos(grid.ring_thetas)
+    n = grid.n_theta
+    k = np.arange(n // 2)
+    north = k[np.abs(t[k] + t[n - 1 - k]) <= _MIRROR_TOL]
+    south = n - 1 - north
+    rings = np.r_[north, np.setdiff1d(np.arange(n), np.r_[north, south])]
+
+    even = [np.empty((rings.size, (lmax - m) // 2 + 1)) for m in range(lmax + 1)]
+    odd = [np.empty((rings.size, (lmax - m + 1) // 2)) for m in range(lmax + 1)]
+    for batch in _point_chunks(rings.size, lmax):
+        q = _legendre_by_order(lmax, t[rings[batch]])
+        for m in range(lmax + 1):
+            even[m][batch] = q[m, m::2].T
+            odd[m][batch] = q[m, m + 1 :: 2].T
+        del q  # free the table before the next batch allocates its own
+    for block in even + odd:
+        block.flags.writeable = False
+
+    # Per order m, the accumulator holds its even degrees, then its odd ones.
+    degrees = [np.r_[m : lmax + 1 : 2, m + 1 : lmax + 1 : 2] for m in range(lmax + 1)]
+    ls = np.concatenate(degrees)
+    ms = np.repeat(np.arange(lmax + 1), [d.size for d in degrees])
+    sources = np.stack([ls * ls + ls + ms, ls * ls + ls - ms], axis=1).reshape(-1)
+    slots = np.empty(flat_size(lmax), dtype=np.intp)
+    slots[sources[1::2]] = np.arange(1, sources.size, 2)
+    slots[sources[0::2]] = np.arange(0, sources.size, 2)  # m = 0 reads the +m slot
+    orders = np.concatenate([np.arange(-l, l + 1) for l in range(lmax + 1)])
+    weights = grid.ring_weights[:, None]
+    return _GridPlan(
+        rings=rings,
+        mirrors=south,
+        weights=weights[rings],
+        mirror_weights=weights[south],
+        even=even,
+        odd=odd,
+        starts=np.cumsum([0] + [d.size for d in degrees[:-1]]).tolist(),
+        slots=slots,
+        sources=sources,
+        signs=np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0),
+    )
+
+
+def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, weights: np.ndarray, lmax: int) -> np.ndarray:
+    """Order-major (lmax + 1, rings, 2, c): the weighted DFT bins m and -m of the rings."""
+    n_phi, c = spectrum.shape[1:]
+    part = np.empty((lmax + 1, rings.size, 2, c), dtype=np.complex128)
+    np.multiply(spectrum[rings, : lmax + 1].transpose(1, 0, 2), weights, out=part[:, :, 0])
+    negative = spectrum[rings, n_phi - 1 : n_phi - 1 - lmax : -1]  # bins -1, ..., -lmax
+    np.multiply(negative.transpose(1, 0, 2), weights, out=part[1:, :, 1])
+    part[0, :, 1] = part[0, :, 0]  # order 0 has one bin; its unused -m half stays defined
+    return part
+
+
+def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, lmax: int) -> None:
+    """Write order-major real pairs (lmax + 1, rings, 4c) to the rings' bins m and -m."""
+    n_phi, c = spectrum.shape[1:]
+    part = part.view(np.complex128).reshape(lmax + 1, rings.size, 2, c)
+    spectrum[rings, : lmax + 1] = part[:, :, 0].transpose(1, 0, 2)
+    spectrum[rings, n_phi - 1 : n_phi - 1 - lmax : -1] = part[1:, :, 1].transpose(1, 0, 2)
 
 
 def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
@@ -255,13 +340,27 @@ def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarr
     plan = _plan(grid, lmax)
     stacked = np.atleast_2d(vals.T).T.reshape(grid.n_theta, grid.n_phi, -1)
     spectrum = np.fft.fft(stacked, axis=1)  # ring DFT: sum_j f_j exp(-2pi i j m / n_phi)
-    w = grid.ring_weights[:, None]
-    out = np.empty((flat_size(lmax), spectrum.shape[2]), dtype=np.complex128)
-    # Complex columns are viewed as pairs of real ones, so each order is one
-    # real matmul against its real Legendre block.
-    for col, rows, sign, block in plan:
-        weighted = (w * spectrum[:, col, :]).view(np.float64)
-        out[rows] = sign * (block.T @ weighted).view(np.complex128)
+    total = _gather_orders(spectrum, plan.rings, plan.weights, lmax)
+    mirror = _gather_orders(spectrum, plan.mirrors, plan.mirror_weights, lmax)
+    del spectrum
+    # Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t): the even degrees read
+    # ring + mirror, the odd ones ring - mirror.
+    pairs, c = mirror.shape[1], mirror.shape[3]
+    diff = total.copy()
+    diff[:, :pairs] -= mirror
+    total[:, :pairs] += mirror
+    del mirror
+    # Complex columns are viewed as pairs of real ones, so each order is two
+    # real matmuls, each serving m and -m.
+    total = total.reshape(lmax + 1, -1, 2 * c).view(np.float64)
+    diff = diff.reshape(lmax + 1, -1, 2 * c).view(np.float64)
+    acc = np.empty((plan.sources.size // 2, 4 * c))
+    for m, (start, even, odd) in enumerate(zip(plan.starts, plan.even, plan.odd)):
+        mid = start + even.shape[1]
+        np.matmul(even.T, total[m], out=acc[start:mid])
+        np.matmul(odd.T, diff[m], out=acc[mid : mid + odd.shape[1]])
+    out = np.take(acc.view(np.complex128).reshape(-1, c), plan.slots, axis=0)
+    out *= plan.signs[:, None]
     return out if vals.ndim == 2 else out[:, 0]
 
 
@@ -279,10 +378,26 @@ def forward_sht_fast(f: np.ndarray, grid: TensorGrid, lmax: int) -> ScalarCoeffi
 
 def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
     plan = _plan(grid, lmax)
-    spectrum = np.zeros((grid.n_theta, grid.n_phi, values.shape[1]), dtype=np.complex128)
-    for col, rows, sign, block in plan:
-        column = (sign * values[rows]).view(np.float64)
-        spectrum[:, col, :] = (block @ column).view(np.complex128)
+    c = values.shape[1]
+    coeffs = np.take(values, plan.sources, axis=0)
+    coeffs *= plan.signs[plan.sources, None]
+    coeffs = coeffs.reshape(-1, 2 * c).view(np.float64)
+    rows, pairs = plan.rings.size, plan.mirrors.size
+    # The transpose of the forward: a row's ring gets the even plus the odd
+    # degrees, its mirror even minus odd.  Order-major, m and -m per row.
+    total = np.empty((lmax + 1, rows, 4 * c))
+    mirror = np.empty((lmax + 1, pairs, 4 * c))
+    odd_part = np.empty((rows, 4 * c))
+    for m, (start, even, odd) in enumerate(zip(plan.starts, plan.even, plan.odd)):
+        mid = start + even.shape[1]
+        np.matmul(even, coeffs[start:mid], out=total[m])
+        np.matmul(odd, coeffs[mid : mid + odd.shape[1]], out=odd_part)
+        np.subtract(total[m, :pairs], odd_part[:pairs], out=mirror[m])
+        total[m] += odd_part
+    spectrum = np.zeros((grid.n_theta, grid.n_phi, c), dtype=np.complex128)
+    _scatter_orders(spectrum, plan.rings, total, lmax)
+    _scatter_orders(spectrum, plan.mirrors, mirror, lmax)
+    del total, mirror
     # norm="forward" leaves the inverse unscaled: the plain sum over orders.
     out = np.fft.ifft(spectrum, axis=1, norm="forward")
     return out.reshape(len(grid), values.shape[1])

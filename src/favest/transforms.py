@@ -21,10 +21,14 @@ Each scalar transform runs on one of three routes:
 ``path="auto"`` takes the fast path whenever the rule carries a tensor grid
 with enough longitudes.  Otherwise it takes the NUFFT from scalar degree
 33 (vector degree 32) and 2000 points on, where it measured faster than
-the direct sums, and the direct sums below.  The fast and direct routes
-are algebraically identical to the direct vector transforms for any
+the direct sums, and the direct sums below.  The direct route is
+algebraically identical to the direct vector transforms for any
 point/weight family, not just exact rules - that identity is the main
-correctness test of the package; the NUFFT matches them to its accuracy.
+correctness test of the package.  So is the fast route, except that it
+evaluates each southern ring's Legendre values at minus the cosine of its
+northern partner, which differs from the ring's own cosine by at most
+8 eps; it agrees with the direct route to rounding.  The NUFFT matches
+them to its accuracy.
 
 Nothing needs to be prepared by the caller.  The coupling tables are cached
 per lmax, and the fast path builds a plan per (grid, lmax) on first use and

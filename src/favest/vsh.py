@@ -12,10 +12,12 @@ spin components out in the Cartesian basis gives, per family,
 These direct evaluations are the reference route: the fast transforms must
 reproduce them exactly (they are the same finite sums reorganized), which
 is what the equivalence tests pin down.  Direct transforms cost O(N L^2)
-with a per-degree constant and exist for validation, not speed.  They
-batch the points so that each batch's Y table holds at most
-``legendre._CHUNK_ENTRIES`` doubles, and share no contraction code with
-the scalar transforms they check.
+and exist for validation, not speed.  They batch the points so that each
+batch's Y table holds at most ``legendre._CHUNK_ENTRIES`` doubles, and
+share no contraction code with the scalar transforms they check.  Per
+batch they loop over the degrees l only: the coupling formulas are
+evaluated on the array of orders m = -l..l, and each shifted set of Y
+columns is one gather.
 """
 
 from __future__ import annotations
@@ -47,14 +49,20 @@ class VshValue:
     curl: np.ndarray
 
 
-def _column(table: np.ndarray, lmax: int, l: int, m: int) -> np.ndarray:
-    if l < 0 or l > lmax or abs(m) > l:
-        return np.zeros(table.shape[0], dtype=np.complex128)
-    return table[:, l * l + l + m]
+def _column(table: np.ndarray, lmax: int, l: int, m) -> np.ndarray:
+    """Columns Y(l, m) of a Y table for an order or an array of orders.
+
+    One gather; orders with |m| > l, and any l outside 0..lmax, read zero.
+    """
+    valid = (np.abs(m) <= l) & (0 <= l <= lmax)
+    return table[:, np.where(valid, l * l + l + m, 0)] * valid
 
 
-def _bd_from_table(l: int, m: int, table: np.ndarray, lmax: int) -> tuple[np.ndarray, ...]:
-    """(B+1, B0, B-1, D+1, D0, D-1) of harmonic (l, m) from a Y table."""
+def _bd_from_table(l: int, m, table: np.ndarray, lmax: int) -> tuple[np.ndarray, ...]:
+    """(B+1, B0, B-1, D+1, D0, D-1) of harmonics (l, m) from a Y table.
+
+    m is one order or an array of orders; each part is then (N,) or (N, m.size).
+    """
     c = coupling_weight_c(l)
     d = coupling_weight_d(l)
     return (
@@ -82,8 +90,8 @@ def _table_batches(n: int, lmax: int) -> list[slice]:
     return legendre._batches(n, 2 * (lmax + 2) ** 2, legendre._CHUNK_ENTRIES)
 
 
-def _families_from_table(l: int, m: int, table: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(div, curl) values of harmonic (l, m), each (N, 3), from a Y table."""
+def _families_from_table(l: int, m, table: np.ndarray, lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(div, curl) values of harmonics (l, m) from a Y table: (N, 3), or (N, m.size, 3) for an array m."""
     b_plus, b_zero, b_minus, d_plus, d_zero, d_minus = _bd_from_table(l, m, table, lmax)
     return _spin_to_cartesian(b_plus, b_zero, b_minus), _spin_to_cartesian(d_plus, d_zero, d_minus)
 
@@ -133,11 +141,10 @@ def forward_vsht_direct(
     for batch in _table_batches(len(rule), lmax):
         table = ylm_table(lmax + 1, rule.points[batch])
         for l in range(1, lmax + 1):
-            for m in range(-l, l + 1):
-                div, curl = _families_from_table(l, m, table, lmax + 1)
-                k = l * l + l + m
-                a[k] += np.sum(div.conj() * weighted[batch])
-                b[k] += np.sum(curl.conj() * weighted[batch])
+            div, curl = _families_from_table(l, np.arange(-l, l + 1), table, lmax + 1)
+            rows = slice(l * l, (l + 1) * (l + 1))
+            a[rows] += np.einsum("nmc,nc->m", div.conj(), weighted[batch])
+            b[rows] += np.einsum("nmc,nc->m", curl.conj(), weighted[batch])
     return VectorCoefficients(ScalarCoefficients(lmax, a), ScalarCoefficients(lmax, b))
 
 
@@ -149,12 +156,8 @@ def adjoint_vsht_direct(coeffs: VectorCoefficients, points: np.ndarray) -> Tange
     for batch in _table_batches(pts.shape[0], lmax):
         table = ylm_table(lmax + 1, pts[batch])
         for l in range(1, lmax + 1):
-            for m in range(-l, l + 1):
-                k = l * l + l + m
-                a = coeffs.div.values[k]
-                b = coeffs.curl.values[k]
-                if a == 0.0 and b == 0.0:
-                    continue
-                div, curl = _families_from_table(l, m, table, lmax + 1)
-                out[batch] += a * div + b * curl
+            div, curl = _families_from_table(l, np.arange(-l, l + 1), table, lmax + 1)
+            rows = slice(l * l, (l + 1) * (l + 1))
+            out[batch] += np.einsum("nmc,m->nc", div, coeffs.div.values[rows])
+            out[batch] += np.einsum("nmc,m->nc", curl, coeffs.curl.values[rows])
     return TangentFieldSamples(points=pts, values=out)

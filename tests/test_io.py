@@ -15,7 +15,8 @@ from favest.io import (
     write_rule_file,
     write_samples,
 )
-from favest.quadrature import gen_gl_tensor
+from favest.quadrature import QuadratureRule, gen_gl_tensor
+from favest.transforms import adjoint_favest, forward_favest
 
 
 def _coeffs(rng, lmax):
@@ -38,6 +39,48 @@ def test_rule_file_roundtrip_is_lossless(tmp_path):
     np.testing.assert_array_equal(back.weights, rule.weights)
     assert back.exactness == 9
     assert back.kind == "custom"
+
+
+@pytest.mark.parametrize("lmax", [4, 15])
+def test_gl_rule_file_gets_its_grid_back(tmp_path, lmax):
+    rng = np.random.default_rng(lmax)
+    grid, rule = gen_gl_tensor(2 * (lmax + 1))
+    path = tmp_path / "gl.txt"
+    write_rule_file(path, rule)
+    back = read_rule_file(path, exactness=2 * (lmax + 1))
+    assert back.grid is not None
+    assert back.grid.n_phi == grid.n_phi
+    np.testing.assert_allclose(back.grid.ring_thetas, grid.ring_thetas, rtol=0.0, atol=1e-14)
+    coeffs = _coeffs(rng, lmax)
+    samples = adjoint_favest(coeffs, back)
+    direct = adjoint_favest(coeffs, back, path="direct-scalar")
+    assert np.max(np.abs(samples.values - direct.values)) <= 1e-12 * np.max(np.abs(direct.values))
+    fast = forward_favest(samples, back, lmax)
+    slow = forward_favest(samples, back, lmax, path="direct-scalar")
+    for got, want in ((fast.div.values, slow.div.values), (fast.curl.values, slow.curl.values)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_shuffled_or_perturbed_rule_file_has_no_grid(tmp_path):
+    rng = np.random.default_rng(5)
+    _, rule = gen_gl_tensor(12)
+    order = rng.permutation(len(rule))
+    shuffled = QuadratureRule(rule.points[order], rule.weights[order], exactness=12)
+    uneven = rule.weights.copy()
+    uneven[:2] *= [1.0 + 1e-6, 1.0 - 1e-6]
+    tilted = rule.points.copy()
+    c, s = np.cos(1e-9), np.sin(1e-9)  # turn one point 1e-9 rad in longitude
+    tilted[1, :2] = [c * tilted[1, 0] - s * tilted[1, 1], s * tilted[1, 0] + c * tilted[1, 1]]
+    for other in (
+        shuffled,
+        QuadratureRule(rule.points, uneven, exactness=12),
+        QuadratureRule(tilted, rule.weights, exactness=12),
+    ):
+        path = tmp_path / "other.txt"
+        write_rule_file(path, other)
+        back = read_rule_file(path, exactness=12)
+        assert back.grid is None
+        np.testing.assert_allclose(back.points, other.points, atol=1e-15)
 
 
 def test_three_column_file_means_equal_weights(tmp_path):

@@ -8,9 +8,13 @@ from favest.quadrature import gen_gl_tensor
 from favest.scalar import (
     TensorGrid,
     _adjoint_direct_values,
+    _adjoint_fast_values,
     _adjoint_nufft_values,
     _forward_direct_values,
+    _forward_fast_values,
     _forward_nufft_values,
+    _nufft_setup,
+    _plan,
     adjoint_sht_direct,
     adjoint_sht_fast,
     forward_sht_direct,
@@ -117,6 +121,69 @@ def test_fast_matches_direct(lmax):
     out_fast = adjoint_sht_fast(g, grid)
     out_direct = adjoint_sht_direct(g, rule.points)
     assert np.max(np.abs(out_fast - out_direct)) <= 1e-11
+
+
+def _ring_weights(rng, n_theta, n_phi):
+    """Random positive ring weights whose rule sums to 4pi."""
+    w = rng.uniform(0.1, 1.0, n_theta)
+    return w * FOUR_PI / (n_phi * np.sum(w))
+
+
+def _fast_against_direct(grid, lmax, seed):
+    """Relative errors of the fast forward and adjoint against the direct sums."""
+    rng = np.random.default_rng(seed)
+    rule = QuadratureRule(grid.points(), np.repeat(grid.ring_weights, grid.n_phi), exactness=0)
+    f = rng.standard_normal((len(grid), 3)) + 1j * rng.standard_normal((len(grid), 3))
+    g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+    forward = _relative(_forward_fast_values(f, grid, lmax), _forward_direct_values(f, rule, lmax))
+    adjoint = _relative(_adjoint_fast_values(g, lmax, grid), _adjoint_direct_values(g, lmax, rule.points))
+    return forward, adjoint
+
+
+def test_paired_plan_on_odd_ring_count_keeps_the_equator_as_a_row():
+    lmax = 17
+    grid, _ = gen_gl_tensor(2 * (lmax + 1))
+    assert grid.n_theta == 19
+    assert max(_fast_against_direct(grid, lmax, 43)) <= 1e-12
+    plan = _plan(grid, lmax)
+    assert plan.mirrors.size == 9 and plan.rings.size == 10
+    assert plan.rings[-1] == 9  # the equator, unpaired
+
+
+def test_asymmetric_grid_makes_every_ring_its_own_row():
+    rng = np.random.default_rng(47)
+    lmax = 12
+    thetas = np.sort(rng.uniform(0.05, np.pi - 0.05, 11))
+    grid = TensorGrid(thetas, _ring_weights(rng, 11, 2 * lmax + 3), 2 * lmax + 3)
+    assert max(_fast_against_direct(grid, lmax, 53)) <= 1e-12
+    plan = _plan(grid, lmax)
+    assert plan.mirrors.size == 0 and np.array_equal(plan.rings, np.arange(11))
+
+
+@pytest.mark.parametrize("perturbed", [[0, 1, 2, 3, 4, 5], [2]])
+def test_rings_mirrored_only_to_1e_9_are_not_paired(perturbed):
+    rng = np.random.default_rng(59)
+    lmax = 10
+    north = np.sort(rng.uniform(0.1, 1.5, 6))
+    south_cos = -np.cos(north)
+    south_cos[perturbed] += 1e-9
+    thetas = np.r_[north, np.arccos(south_cos)[::-1]]
+    # Unequal weights across a pair exercise the weighted sum and difference.
+    grid = TensorGrid(thetas, _ring_weights(rng, 12, 2 * lmax + 1), 2 * lmax + 1)
+    assert max(_fast_against_direct(grid, lmax, 61)) <= 1e-12
+    plan = _plan(grid, lmax)
+    assert plan.mirrors.size == 6 - len(perturbed)
+    assert plan.rings.size == 12 - plan.mirrors.size
+
+
+def test_paired_plan_holds_half_the_rings_legendre_values():
+    lmax = 64
+    grid, _ = gen_gl_tensor(2 * (lmax + 1))
+    plan = _plan(grid, lmax)
+    held = sum(block.nbytes for block in plan.even + plan.odd)
+    full = grid.n_theta * sum(lmax - m + 1 for m in range(lmax + 1)) * 8
+    assert held <= 0.55 * full
+    assert all(not block.flags.writeable for block in plan.even + plan.odd)
 
 
 def test_fast_path_bandwidth_precondition():
@@ -252,3 +319,17 @@ def test_nufft_adjoint_rejects_non_unit_points():
     pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.6]])
     with pytest.raises(ValueError):
         _adjoint_nufft_values(np.zeros((flat_size(2), 1), dtype=np.complex128), 2, pts)
+
+
+def test_nufft_auxiliary_grid_takes_the_paired_plan():
+    rng = np.random.default_rng(67)
+    lmax, n = 65, 300
+    pts = _awkward_points(rng, n)
+    rule = QuadratureRule(pts, np.full(n, FOUR_PI / n), exactness=0)
+    f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+    assert _relative(_adjoint_nufft_values(g, lmax, pts), _adjoint_direct_values(g, lmax, pts)) <= 1e-11
+    assert _relative(_forward_nufft_values(f, rule, lmax), _forward_direct_values(f, rule, lmax)) <= 1e-11
+    grid = _nufft_setup(lmax, favest.scalar._NUFFT_WIDTH)[0]
+    plan = _plan(grid, lmax)
+    assert grid.n_theta == 66 and plan.mirrors.size == 33 and plan.rings.size == 33

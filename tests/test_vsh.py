@@ -12,8 +12,8 @@ from favest.core import (
     flat_index,
     flat_size,
 )
-from favest.coupling import clebsch_gordan, coupling_weight_c, coupling_weight_d
-from favest.legendre import eval_ylm
+from favest.coupling import cg_explicit, clebsch_gordan, coupling_weight_c, coupling_weight_d
+from favest.legendre import eval_ylm, ylm_table
 from favest.quadrature import gen_gl_tensor
 from favest.vsh import adjoint_vsht_direct, eval_bd, eval_vsh, forward_vsht_direct
 
@@ -212,3 +212,45 @@ def test_direct_oracles_batch_points_in_bounded_memory(monkeypatch):
     for got, want in ((fwd.div.values, one_fwd.div.values), (fwd.curl.values, one_fwd.curl.values)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.array_equal(result.values, one_adj)
+
+
+def _reference_families(l, m, pts):
+    """(div, curl) of harmonic (l, m), each (N, 3): one (l, m) at a time, from the coupling formulas."""
+    table = ylm_table(l + 1, pts)
+
+    def y(j, k):
+        return table[:, j * j + j + k] if abs(k) <= j else np.zeros(len(pts))
+
+    c, d = coupling_weight_c(l), coupling_weight_d(l)
+    b = [c * cg_explicit(-1, s, l, m) * y(l - 1, m - s) + d * cg_explicit(1, s, l, m) * y(l + 1, m - s)
+         for s in (1, 0, -1)]
+    e = [1j * cg_explicit(0, s, l, m) * y(l, m - s) for s in (1, 0, -1)]
+    r = 1.0 / np.sqrt(2.0)
+    return tuple(np.stack([-r * (p - q), -1j * r * (p + q), z], axis=-1) for p, z, q in (b, e))
+
+
+@pytest.mark.parametrize("lmax", [1, 5, 12])
+def test_direct_oracles_match_a_loop_over_every_harmonic(lmax):
+    rng = np.random.default_rng([71, lmax])
+    n = 40
+    pts = _random_points(rng, n)
+    rule = QuadratureRule(pts, np.full(n, FOUR_PI / n), exactness=0)
+    samples = TangentFieldSamples(pts, rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)))
+    raw = rng.standard_normal((2, flat_size(lmax))) + 1j * rng.standard_normal((2, flat_size(lmax)))
+    raw[:, 0] = 0.0
+    coeffs = VectorCoefficients(ScalarCoefficients(lmax, raw[0]), ScalarCoefficients(lmax, raw[1]))
+    want_a, want_b = np.zeros_like(raw)
+    want_field = np.zeros((n, 3), dtype=np.complex128)
+    weighted = rule.weights[:, None] * samples.values
+    for l in range(1, lmax + 1):
+        for m in range(-l, l + 1):
+            div, curl = _reference_families(l, m, pts)
+            k = flat_index(l, m)
+            want_a[k] = np.sum(div.conj() * weighted)
+            want_b[k] = np.sum(curl.conj() * weighted)
+            want_field += raw[0, k] * div + raw[1, k] * curl
+    got = forward_vsht_direct(samples, rule, lmax)
+    for values, want in ((got.div.values, want_a), (got.curl.values, want_b)):
+        assert np.max(np.abs(values - want)) <= 1e-13 * np.max(np.abs(want))
+    field = adjoint_vsht_direct(coeffs, pts).values
+    assert np.max(np.abs(field - want_field)) <= 1e-13 * np.max(np.abs(want_field))
