@@ -19,8 +19,8 @@ from .core import (
     to_spherical,
 )
 from .coupling import (
-    AdjointCoupling,
     CGTables,
+    apply_coupling,
     build_adjoint_coupling,
     build_cg_tables,
     cg_explicit,
@@ -70,7 +70,6 @@ from .vsh import VshValue, adjoint_vsht_direct, eval_vsh, forward_vsht_direct
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointCoupling",
     "BenchRecord",
     "CGTables",
     "FIELD_A",
@@ -91,6 +90,7 @@ __all__ = [
     "adjoint_sht_direct",
     "adjoint_sht_fast",
     "adjoint_vsht_direct",
+    "apply_coupling",
     "bench",
     "build_adjoint_coupling",
     "build_cg_tables",

@@ -67,13 +67,14 @@ def check_unit(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Validate that points lie on the unit sphere; returns them as float64.
 
     Accepts a single point of shape (3,) or a batch of shape (N, 3).
+    Non-finite points are rejected too.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[-1] != 3:
         raise ValueError(f"points must have trailing dimension 3, got shape {pts.shape}")
     norms = np.sqrt(np.sum(pts * pts, axis=-1))
     err = np.max(np.abs(norms - 1.0)) if norms.size else 0.0
-    if err > tol:
+    if not err <= tol:  # also rejects NaN
         raise ValueError(f"points deviate from the unit sphere by {err:.3e} (tol {tol:.1e})")
     return pts
 

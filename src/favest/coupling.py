@@ -4,9 +4,15 @@ Every coefficient the transforms need couples some (j1, m1) with a spin-1
 index: C(l, m | j1, m1, 1, m2) with j1 in {l-1, l, l+1} and m1 = m - m2.
 Nine closed forms cover all of them; ``cg_explicit`` selects by the offset
 pair (j1 - l, m2).  A coefficient whose arguments violate |m| <= l,
-|m1| <= j1, or j1 >= 0 is zero by convention: assembly code reads tables
-at shifted indices and relies on those zeros instead of branching at
-boundaries (the range-validity rule).
+|m1| <= j1, or j1 >= 0 is zero by convention (the range-validity rule).
+
+The transforms use them through one sparse operator K per lmax
+(``coupling_matrix``, cached), whose row (l, m) holds the nine coefficients
+coupling it to the scalar tables at (l + dl, m - m2).  The range-validity
+rule lives in K's build: an entry whose source leaves the tables is zero
+and is not stored.  ``apply_coupling`` applies K, ``build_adjoint_coupling``
+its conjugate transpose; ``build_cg_tables`` tabulates the coefficients by
+source index for diagnostics.
 
 ``wigner_3j`` is the independent check oracle (Racah's single-sum formula
 with log-factorial accumulation); production paths never call it.
@@ -20,7 +26,7 @@ from math import lgamma
 
 import numpy as np
 
-from .core import VectorCoefficients, degrees_orders
+from .core import ScalarCoefficients, VectorCoefficients, degrees_orders, flat_size
 
 
 def coupling_weight_c(l):
@@ -153,9 +159,9 @@ class CGTables:
 def build_cg_tables(lmax: int) -> CGTables:
     """Tabulate the six xi and three mu coupling arrays for degree lmax.
 
-    The tables extend to degree lmax + 1 because the forward assembly reads
-    them at shifted indices l +- 1.  Results are cached per lmax and shared,
-    hence read-only.
+    The tables extend to degree lmax + 1 because they are indexed by the
+    source (l +- 1, m +- 1) of each coupling.  Results are cached per lmax
+    and shared, hence read-only.
     """
     if lmax < 0:
         raise ValueError(f"lmax must be non-negative, got {lmax}")
@@ -185,72 +191,84 @@ def build_cg_tables(lmax: int) -> CGTables:
     return CGTables(lmax=lmax, xi=xi, mu=mu, c=c, d=d)
 
 
-@lru_cache(maxsize=64)
-def _shift_index(src_lmax: int, dl: int, dm: int, out_lmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Source index and validity mask of :func:`_shift_read`; cached, read-only."""
-    ls, ms = degrees_orders(out_lmax)
-    sl = ls + dl
-    sm = ms + dm
-    valid = (sl >= 0) & (sl <= src_lmax) & (np.abs(sm) <= sl)
-    idx = np.where(valid, sl * sl + sl + sm, 0)
-    idx.flags.writeable = False
-    valid.flags.writeable = False
-    return idx, valid
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# The (dl, m2) kinds of a div and of a curl row, in the order of their
+# sources (l + dl, m - m2) in the flat layout.
+_DIV_KINDS = ((-1, 1), (-1, 0), (-1, -1), (1, 1), (1, 0), (1, -1))
+_CURL_KINDS = ((0, 1), (0, 0), (0, -1))
 
 
-def _shift_read(flat: np.ndarray, src_lmax: int, dl: int, dm: int, out_lmax: int) -> np.ndarray:
-    """Gather flat[(l+dl, m+dm)] over all (l, m) with l <= out_lmax.
+@lru_cache(maxsize=8)
+def coupling_matrix(lmax: int):
+    """The real matrix R of the forward coupling K = D_out R D_in; cached, read-only.
 
-    Out-of-range source pairs contribute zero.
+    K maps the scalar forward tables F of the three Cartesian components at
+    degree lmax + 1, flattened point-major (entry 3k + j is component j at
+    flat index k), to the degree-lmax div table stacked over the curl
+    table.  With U = -F1 + i F2, V = F1 + i F2, W = F3, s = 1/sqrt(2) and
+    C(dl, m2) = ``cg_explicit(dl, m2, l, m)``:
+
+        div(l, m)  = sum over dl = -1, +1 of w(dl) [s C(dl, 1) U(l+dl, m-1)
+                     + C(dl, 0) W(l+dl, m) + s C(dl, -1) V(l+dl, m+1)],
+        curl(l, m) = -i [s C(0, 1) U(l, m-1) + C(0, 0) W(l, m) + s C(0, -1) V(l, m+1)],
+
+    with w(-1) = c(l) and w(+1) = d(l).  D_in = diag(1, i, 1) per point and
+    D_out = 1 on div rows, i on curl rows leave R real.  An entry whose
+    source leaves the tables is zero by the range-validity rule and is not
+    stored: at most ten per div row, five per curl row, none at degree 0.
+    The adjoint coupling is K^H = D_in^H R^T D_out^H.
     """
-    idx, valid = _shift_index(src_lmax, dl, dm, out_lmax)
-    out = np.where(valid, flat[idx], 0.0)
-    return out.astype(flat.dtype)
+    from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
+
+    if lmax < 1:
+        raise ValueError(f"vector coupling needs lmax >= 1, got {lmax}")
+    ls, ms = degrees_orders(lmax)
+    n = ls.size
+    # Ten slots per row in increasing column order; a curl row fills five.
+    vals = np.zeros((2 * n, 10))
+    cols = np.zeros((2 * n, 10), dtype=np.int32)
+    weights = {-1: coupling_weight_c(ls), 0: -1.0, 1: coupling_weight_d(ls)}
+    for block, kinds in enumerate((_DIV_KINDS, _CURL_KINDS)):
+        rows = slice(block * n, (block + 1) * n)
+        slot = 0
+        for dl, m2 in kinds:
+            coef = weights[dl] * cg_explicit(dl, m2, ls, ms)
+            src = 3 * ((ls + dl) * (ls + dl + 1) + ms - m2)
+            for col, factor in ((0, -m2 * _INV_SQRT2), (1, _INV_SQRT2)) if m2 else ((2, 1.0),):
+                vals[rows, slot] = factor * coef
+                cols[rows, slot] = src + col
+                slot += 1
+    keep = vals != 0.0
+    indptr = np.zeros(2 * n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    matrix = csr_array((vals[keep], cols[keep], indptr), shape=(2 * n, 3 * flat_size(lmax + 1)))
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
 
 
-@dataclass
-class AdjointCoupling:
-    """The nine synthesis coefficient arrays of the adjoint transform.
+def apply_coupling(f: np.ndarray, lmax: int) -> VectorCoefficients:
+    """Apply K to the scalar forward tables ``f`` of the Cartesian components.
 
-    Flat complex arrays of length (lmax + 2)**2: ``nu[1..6]`` derive from
-    the div-family table, ``eta[1..3]`` from the curl-family table.
+    ``f`` has shape (flat_size(lmax + 1), 3); the result is the degree-lmax
+    vector coefficients.  See :func:`coupling_matrix`.
     """
+    x = f * np.array([1.0, 1j, 1.0])  # D_in
+    # R is real, so it acts on the complex entries as (real, imag) pairs.
+    out = (coupling_matrix(lmax) @ x.view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(2, -1)
+    out[1] *= 1j  # D_out
+    return VectorCoefficients(ScalarCoefficients(lmax, out[0]), ScalarCoefficients(lmax, out[1]))
 
-    lmax: int
-    nu: dict[int, np.ndarray]
-    eta: dict[int, np.ndarray]
 
+def build_adjoint_coupling(coeffs: VectorCoefficients) -> np.ndarray:
+    """Apply K^H: the three scalar tables whose synthesis is the tangent field.
 
-def build_adjoint_coupling(coeffs: VectorCoefficients) -> AdjointCoupling:
-    """Combine vector coefficients with the CG tables into synthesis arrays.
-
-    Each array multiplies coefficient reads at degree l +- 1 (or l) with the
-    matching xi/mu entries; every range restriction in their definitions is
-    realized by the zero-read convention rather than explicit branches.
+    Returns the (flat_size(lmax + 1), 3) complex table of one degree-(lmax+1)
+    scalar coefficient column per Cartesian component, D_in^H R^T D_out^H
+    applied to the div table stacked over the curl table.
     """
     lmax = coeffs.lmax
-    tables = build_cg_tables(lmax)
-    xi = tables.xi
-    mu = tables.mu
-    top = lmax + 1
-
-    def a_at(dl: int, dm: int) -> np.ndarray:
-        return _shift_read(coeffs.div.values, lmax, dl, dm, top)
-
-    def b_at(dl: int, dm: int) -> np.ndarray:
-        return _shift_read(coeffs.curl.values, lmax, dl, dm, top)
-
-    nu = {
-        1: a_at(1, 1) * xi[1] - a_at(1, -1) * xi[3],
-        2: a_at(-1, 1) * xi[2] - a_at(-1, -1) * xi[4],
-        3: 1j * (a_at(1, 1) * xi[1] + a_at(1, -1) * xi[3]),
-        4: 1j * (a_at(-1, 1) * xi[2] + a_at(-1, -1) * xi[4]),
-        5: a_at(1, 0) * xi[5],
-        6: a_at(-1, 0) * xi[6],
-    }
-    eta = {
-        1: 1j * (b_at(0, 1) * mu[1] - b_at(0, -1) * mu[3]),
-        2: b_at(0, 1) * mu[1] + b_at(0, -1) * mu[3],
-        3: 1j * b_at(0, 0) * mu[2],
-    }
-    return AdjointCoupling(lmax=lmax, nu=nu, eta=eta)
+    stacked = np.concatenate([coeffs.div.values, -1j * coeffs.curl.values])  # D_out^H
+    merged = (coupling_matrix(lmax).T @ stacked.view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(-1, 3)
+    merged[:, 1] *= -1j  # D_in^H
+    return merged

@@ -28,7 +28,7 @@ from .core import (
     degrees_orders,
     flat_size,
 )
-from .coupling import build_cg_tables, _shift_read
+from .coupling import build_cg_tables
 from .legendre import ylm_table
 from .quadrature import gen_gl_tensor
 from .transforms import adjoint_favest, forward_favest

@@ -95,10 +95,13 @@ class TensorGrid:
             raise ValueError("ring_thetas and ring_weights must be matching 1-d arrays")
         if th.size == 0:
             raise ValueError("grid needs at least one ring")
-        if np.any(th <= 0.0) or np.any(th >= np.pi):
+        # Written so that NaN fails them.
+        if not np.all((th > 0.0) & (th < np.pi)):
             raise ValueError("ring colatitudes must lie strictly inside (0, pi)")
-        if np.any(np.diff(th) <= 0.0):
+        if not np.all(np.diff(th) > 0.0):
             raise ValueError("ring colatitudes must be strictly increasing")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("ring weights must be finite")
         if self.n_phi < 1:
             raise ValueError(f"n_phi must be positive, got {self.n_phi}")
         th.flags.writeable = False
@@ -336,10 +339,12 @@ def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, l
 
 
 def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
+    from scipy import fft  # deferred, like scipy.sparse in _stencil
+
     vals = _check_samples(f, len(grid))
     plan = _plan(grid, lmax)
     stacked = np.atleast_2d(vals.T).T.reshape(grid.n_theta, grid.n_phi, -1)
-    spectrum = np.fft.fft(stacked, axis=1)  # ring DFT: sum_j f_j exp(-2pi i j m / n_phi)
+    spectrum = fft.fft(stacked, axis=1)  # ring DFT: sum_j f_j exp(-2pi i j m / n_phi)
     total = _gather_orders(spectrum, plan.rings, plan.weights, lmax)
     mirror = _gather_orders(spectrum, plan.mirrors, plan.mirror_weights, lmax)
     del spectrum
@@ -377,6 +382,8 @@ def forward_sht_fast(f: np.ndarray, grid: TensorGrid, lmax: int) -> ScalarCoeffi
 
 
 def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
+    from scipy import fft
+
     plan = _plan(grid, lmax)
     c = values.shape[1]
     coeffs = np.take(values, plan.sources, axis=0)
@@ -399,7 +406,7 @@ def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.
     _scatter_orders(spectrum, plan.mirrors, mirror, lmax)
     del total, mirror
     # norm="forward" leaves the inverse unscaled: the plain sum over orders.
-    out = np.fft.ifft(spectrum, axis=1, norm="forward")
+    out = fft.ifft(spectrum, axis=1, norm="forward", overwrite_x=True)
     return out.reshape(len(grid), values.shape[1])
 
 
@@ -487,17 +494,19 @@ def _adjoint_nufft_values(values: np.ndarray, lmax: int, points: np.ndarray) -> 
     its Fourier coefficients by one FFT; a type-2 NUFFT with the
     exponential-of-semicircle kernel evaluates it at the points.
     """
+    from scipy import fft
+
     pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     width = _NUFFT_WIDTH
     grid, coarse, fine_at, factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, values.shape[1]
     half = _adjoint_fast_values(values, lmax, grid).reshape(n // 2, n, c)
     torus = np.concatenate([half, np.roll(half[::-1], n // 2, axis=1)])
-    spectrum = np.fft.fft2(torus, axes=(0, 1))
+    spectrum = fft.fft2(torus, axes=(0, 1), overwrite_x=True)
     fine = np.zeros((2 * n, 2 * n, c), dtype=np.complex128)
     fine[fine_at] = factors[..., None] * spectrum[coarse]
     # The fine-grid values as real pairs, one row per node.
-    nodes = np.fft.ifft2(fine, axes=(0, 1), norm="forward").reshape(-1, c).view(np.float64)
+    nodes = fft.ifft2(fine, axes=(0, 1), norm="forward", overwrite_x=True).reshape(-1, c).view(np.float64)
     theta, phi = _sphere_angles(pts)
     out = np.empty((pts.shape[0], 2 * c), dtype=np.float64)
     for batch in _batches(pts.shape[0], width * width, _STENCIL_ENTRIES):
@@ -512,6 +521,8 @@ def _forward_nufft_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.
     and scales its spectrum with the conjugate factors, folds the reflected
     half of the torus back, and analyses on the auxiliary grid.
     """
+    from scipy import fft
+
     vals = _check_samples(f, len(rule))
     wf = rule.weights[:, None] * np.atleast_2d(vals.T).T
     pts = check_unit(rule.points)
@@ -523,10 +534,10 @@ def _forward_nufft_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.
     nodes = np.zeros((4 * n * n, 2 * c), dtype=np.float64)
     for batch in _batches(len(rule), width * width, _STENCIL_ENTRIES):
         nodes += _stencil(theta[batch], phi[batch], 2 * n, width).T @ rows[batch]
-    fine = np.fft.fft2(nodes.view(np.complex128).reshape(2 * n, 2 * n, c), axes=(0, 1))
+    fine = fft.fft2(nodes.view(np.complex128).reshape(2 * n, 2 * n, c), axes=(0, 1), overwrite_x=True)
     spectrum = np.zeros((n, n, c), dtype=np.complex128)
     spectrum[coarse] = factors.conj()[..., None] * fine[fine_at]
-    torus = np.fft.ifft2(spectrum, axes=(0, 1), norm="forward")
+    torus = fft.ifft2(spectrum, axes=(0, 1), norm="forward", overwrite_x=True)
     half = torus[: n // 2] + np.roll(torus[n // 2 :][::-1], n // 2, axis=1)
     out = _forward_fast_values(half.reshape(-1, c), grid, lmax)
     return out if vals.ndim == 2 else out[:, 0]

@@ -1,15 +1,16 @@
 """Fast forward and adjoint vector spherical harmonic transforms.
 
 Both directions route all vector work through three scalar transforms of
-degree L+1 plus O(L^2) coupling arithmetic:
+degree L+1 plus one sparse O(L^2) coupling operator K
+(:func:`coupling.coupling_matrix`), which holds the Clebsch-Gordan weights:
 
-* forward: scalar-analyze the combinations U = -T1 + i T2, V = T1 + i T2,
-  W = T3, then assemble each vector coefficient from six xi-weighted (div
-  family) and three mu-weighted (curl family) reads at index offsets
-  (l +- 1, m +- 1).
-* adjoint: fold the coefficient tables into nine synthesis arrays, merge
-  them into one degree-(L+1) scalar coefficient array per Cartesian
-  component, and scalar-synthesize.
+* forward: scalar-analyze the three Cartesian components T1, T2, T3 and
+  apply K, which reads each vector coefficient from the tables at index
+  offsets (l +- 1, m +- 1) and folds in the combinations U = -T1 + i T2,
+  V = T1 + i T2, W = T3;
+* adjoint: apply K^H to the div and curl tables, which gives one
+  degree-(L+1) scalar coefficient table per Cartesian component, and
+  scalar-synthesize.
 
 Each scalar transform runs on one of three routes:
 
@@ -30,10 +31,10 @@ northern partner, which differs from the ring's own cosine by at most
 8 eps; it agrees with the direct route to rounding.  The NUFFT matches
 them to its accuracy.
 
-Nothing needs to be prepared by the caller.  The coupling tables are cached
-per lmax, and the fast path builds a plan per (grid, lmax) on first use and
-keeps it on the grid, so repeated transforms on one grid pay only the FFTs,
-the per-order matmuls and the coupling arithmetic, in O(N) working memory.
+Nothing needs to be prepared by the caller.  K is cached per lmax, and the
+fast path builds a plan per (grid, lmax) on first use and keeps it on the
+grid, so repeated transforms on one grid pay only the FFTs, the per-order
+matmuls and the two sparse products, in O(N) working memory.
 The NUFFT route caches its auxiliary grid, with its plan, per degree.
 Non-finite input values are rejected with ValueError.
 """
@@ -51,7 +52,7 @@ from .core import (
     VectorCoefficients,
     check_unit,
 )
-from .coupling import _shift_read, build_adjoint_coupling, build_cg_tables
+from .coupling import apply_coupling, build_adjoint_coupling
 from .scalar import (
     TensorGrid,
     _adjoint_direct_values,
@@ -67,7 +68,6 @@ PATHS = ("auto", "direct-scalar", "fast-scalar", "nufft")
 # cost per point does not grow with the degree (measurements in CHANGES.md).
 _NUFFT_MIN_DEGREE = 33
 _NUFFT_MIN_POINTS = 2000
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, QuadratureRule | None]:
@@ -133,45 +133,22 @@ def forward_favest(
     """
     if lmax < 1:
         raise ValueError(f"vector transforms need lmax >= 1, got {lmax}")
-    if samples.points.shape != rule.points.shape or not np.allclose(
-        samples.points, rule.points, rtol=0.0, atol=1e-12
+    if samples.points is not rule.points and (
+        samples.points.shape != rule.points.shape
+        or not np.allclose(samples.points, rule.points, rtol=0.0, atol=1e-12)
     ):
         raise ValueError("sample points do not match the quadrature rule points")
     if not np.all(np.isfinite(samples.values)):
         raise ValueError("sample values must be finite")
     route = _pick_path(path, rule.grid, lmax, len(rule))
-
-    t1 = samples.values[:, 0]
-    t2 = samples.values[:, 1]
-    t3 = samples.values[:, 2]
-    combos = np.stack([-t1 + 1j * t2, t1 + 1j * t2, t3], axis=1)
     top = lmax + 1
     if route == "fast-scalar":
-        f = _forward_fast_values(combos, rule.grid, top)
+        f = _forward_fast_values(samples.values, rule.grid, top)
     elif route == "nufft":
-        f = _forward_nufft_values(combos, rule, top)
+        f = _forward_nufft_values(samples.values, rule, top)
     else:
-        f = _forward_direct_values(combos, rule, top)
-    fu, fv, fw = f[:, 0], f[:, 1], f[:, 2]
-
-    tables = build_cg_tables(lmax)
-    xi = tables.xi
-    mu = tables.mu
-
-    def read(values: np.ndarray, dl: int, dm: int) -> np.ndarray:
-        return _shift_read(values, top, dl, dm, lmax)
-
-    a = _INV_SQRT2 * (
-        read(xi[1] * fu, -1, -1)
-        + read(xi[2] * fu, 1, -1)
-        + read(xi[3] * fv, -1, 1)
-        + read(xi[4] * fv, 1, 1)
-    ) + read(xi[5] * fw, -1, 0) + read(xi[6] * fw, 1, 0)
-    b = -1j * _INV_SQRT2 * (read(mu[1] * fu, 0, -1) + read(mu[3] * fv, 0, 1)) \
-        - 1j * read(mu[2] * fw, 0, 0)
-    a[0] = 0.0
-    b[0] = 0.0
-    return VectorCoefficients(ScalarCoefficients(lmax, a), ScalarCoefficients(lmax, b))
+        f = _forward_direct_values(samples.values, rule, top)
+    return apply_coupling(f, lmax)
 
 
 def adjoint_favest(
@@ -184,25 +161,15 @@ def adjoint_favest(
     ``rule_or_points`` may be a QuadratureRule, a TensorGrid, or a raw
     (N, 3) array of unit points; weights are never used.  ``path`` picks
     the scalar route as in :func:`forward_favest`.  The synthesis
-    merges the nine coupling arrays into three scalar coefficient tables of
-    degree lmax+1, one per Cartesian component.  Raises ValueError on
-    non-finite coefficient values.
+    applies K^H, which gives three scalar coefficient tables of degree
+    lmax+1, one per Cartesian component.  Raises ValueError on non-finite
+    coefficient values.
     """
     if not (np.all(np.isfinite(coeffs.div.values)) and np.all(np.isfinite(coeffs.curl.values))):
         raise ValueError("coefficient values must be finite")
     points, grid, _ = _resolve_grid(rule_or_points)
     route = _pick_path(path, grid, coeffs.lmax, points.shape[0])
-    coupling = build_adjoint_coupling(coeffs)
-    nu = coupling.nu
-    eta = coupling.eta
-    merged = np.stack(
-        [
-            -_INV_SQRT2 * (nu[1] + nu[2] + eta[1]),
-            -_INV_SQRT2 * (nu[3] + nu[4] - eta[2]),
-            nu[5] + nu[6] + eta[3],
-        ],
-        axis=1,
-    )
+    merged = build_adjoint_coupling(coeffs)
     top = coeffs.lmax + 1
     if route == "fast-scalar":
         values = _adjoint_fast_values(merged, top, grid)

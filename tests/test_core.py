@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -91,6 +96,26 @@ def test_check_unit_rejects_off_sphere():
         check_unit(np.array([[0.5, 0.0, 0.0]]))
     with pytest.raises(ValueError):
         check_unit(np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_are_rejected(bad):
+    pts = np.array([[bad, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError):
+        check_unit(pts)
+    with pytest.raises(ValueError):
+        QuadratureRule(pts, np.full(2, FOUR_PI / 2), exactness=0)
+    with pytest.raises(ValueError):
+        TangentFieldSamples(pts, np.zeros((2, 3)))
+
+
+def test_import_defers_scipy():
+    # scipy.sparse and scipy.fft each add tens of ms to `import favest`.
+    code = "import sys, favest; print(sorted(m for m in ('scipy.sparse', 'scipy.fft') if m in sys.modules))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_scalar_coefficients_validate_length():

@@ -209,6 +209,19 @@ def test_tensor_grid_validation():
     assert grid.points().shape == (6, 3)
 
 
+def test_tensor_grid_rejects_nan_colatitude():
+    with pytest.raises(ValueError, match="colatitudes"):
+        TensorGrid(np.array([np.nan, 1.0]), np.array([1.0, 1.0]), 8)
+    with pytest.raises(ValueError, match="colatitudes"):
+        TensorGrid(np.array([0.5, np.nan]), np.array([1.0, 1.0]), 8)
+
+
+def test_tensor_grid_rejects_non_finite_weights():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="weights"):
+            TensorGrid(np.array([0.5, 1.0]), np.array([bad, 1.0]), 8)
+
+
 def test_direct_paths_across_chunk_boundaries(monkeypatch):
     rng = np.random.default_rng(29)
     lmax, n = 9, 37

@@ -256,6 +256,14 @@ def test_non_finite_input_rejected():
             adjoint_favest(coeffs, where)
 
 
+def test_adjoint_rejects_non_finite_points():
+    coeffs = _random_coeffs(np.random.default_rng(20), 3)
+    pts = np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    for path in ("auto", "direct-scalar", "nufft"):
+        with pytest.raises(ValueError):
+            adjoint_favest(coeffs, pts, path=path)
+
+
 def _weighted_rule(rng, n):
     weights = rng.uniform(0.5, 1.5, n)
     return QuadratureRule(_random_points(rng, n), weights * FOUR_PI / weights.sum(), exactness=0)
