@@ -189,6 +189,16 @@ class TangentFieldSamples:
             )
         self.values = vals
 
+    @classmethod
+    def _at_checked_points(cls, points: np.ndarray, values: np.ndarray) -> "TangentFieldSamples":
+        """Samples at already validated unit points, such as a rule's, without ``check_unit``.
+
+        ``values`` must be the matching (N, 3) complex128 array.
+        """
+        samples = cls.__new__(cls)
+        samples.points, samples.values = points, values
+        return samples
+
     def __len__(self) -> int:
         return self.points.shape[0]
 

@@ -27,6 +27,7 @@ from math import lgamma
 import numpy as np
 
 from .core import ScalarCoefficients, VectorCoefficients, degrees_orders, flat_size
+from .legendre import _batches
 
 
 def coupling_weight_c(l):
@@ -196,6 +197,8 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # sources (l + dl, m - m2) in the flat layout.
 _DIV_KINDS = ((-1, 1), (-1, 0), (-1, -1), (1, 1), (1, 0), (1, -1))
 _CURL_KINDS = ((0, 1), (0, 0), (0, -1))
+#: Most entries one batch of rows stages densely while K is built.
+_STAGING_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=8)
@@ -224,24 +227,35 @@ def coupling_matrix(lmax: int):
         raise ValueError(f"vector coupling needs lmax >= 1, got {lmax}")
     ls, ms = degrees_orders(lmax)
     n = ls.size
-    # Ten slots per row in increasing column order; a curl row fills five.
-    vals = np.zeros((2 * n, 10))
-    cols = np.zeros((2 * n, 10), dtype=np.int32)
-    weights = {-1: coupling_weight_c(ls), 0: -1.0, 1: coupling_weight_d(ls)}
-    for block, kinds in enumerate((_DIV_KINDS, _CURL_KINDS)):
-        rows = slice(block * n, (block + 1) * n)
-        slot = 0
-        for dl, m2 in kinds:
-            coef = weights[dl] * cg_explicit(dl, m2, ls, ms)
-            src = 3 * ((ls + dl) * (ls + dl + 1) + ms - m2)
-            for col, factor in ((0, -m2 * _INV_SQRT2), (1, _INV_SQRT2)) if m2 else ((2, 1.0),):
-                vals[rows, slot] = factor * coef
-                cols[rows, slot] = src + col
-                slot += 1
-    keep = vals != 0.0
+    # Filled in batches of rows, so that the dense staging of a batch stays
+    # small next to K; fifteen entries per (div, curl) row pair bound K's.
+    data = np.empty(15 * n)
+    indices = np.empty(15 * n, dtype=np.int32)
     indptr = np.zeros(2 * n + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    matrix = csr_array((vals[keep], cols[keep], indptr), shape=(2 * n, 3 * flat_size(lmax + 1)))
+    end = 0
+    for block, kinds in enumerate((_DIV_KINDS, _CURL_KINDS)):
+        width = sum(2 if m2 else 1 for _, m2 in kinds)  # ten slots per div row, five per curl row
+        for rows in _batches(n, width, _STAGING_ENTRIES):
+            l, m = ls[rows], ms[rows]
+            weights = {-1: coupling_weight_c(l), 0: -1.0, 1: coupling_weight_d(l)}
+            # Slots in increasing column order per row.
+            vals = np.zeros((l.size, width))
+            cols = np.zeros((l.size, width), dtype=np.int32)
+            slot = 0
+            for dl, m2 in kinds:
+                coef = weights[dl] * cg_explicit(dl, m2, l, m)
+                src = 3 * ((l + dl) * (l + dl + 1) + m - m2)
+                for col, factor in ((0, -m2 * _INV_SQRT2), (1, _INV_SQRT2)) if m2 else ((2, 1.0),):
+                    vals[:, slot] = factor * coef
+                    cols[:, slot] = src + col
+                    slot += 1
+            keep = vals != 0.0
+            first = block * n + rows.start
+            indptr[first + 1 : first + 1 + l.size] = end + np.cumsum(np.count_nonzero(keep, axis=1))
+            start, end = end, int(indptr[first + l.size])
+            data[start:end] = vals[keep]
+            indices[start:end] = cols[keep]
+    matrix = csr_array((data[:end], indices[:end], indptr), shape=(2 * n, 3 * flat_size(lmax + 1)))
     for array in (matrix.data, matrix.indices, matrix.indptr):
         array.flags.writeable = False
     return matrix

@@ -11,10 +11,15 @@ against 1e-8.  Callers that need lossless degree-L vector roundtrips want
 t = 2(L+1): the harmonic components are polynomials of degree l+1, so the
 Gram integrands reach degree 2(L+1).
 
-The certifier reads only points and weights, never a grid.  It batches the
-points like the direct transforms (``legendre._point_chunks``) and sums
-each order m >= 0 with one matmul of the order-major Legendre block
-Pbar(l, m), l = m..t, against w * exp(-i*m*phi).
+The sums are the degree-t scalar forward transform of f = 1 on the rule,
+F(l, m) = sum_i w_i conj(Y(l, m, x_i)), whose moduli equal those of the
+sums above.  The certifier reads only points and weights, never a grid, and
+picks the scalar route as ``path="auto"`` does on scattered points: the
+NUFFT (``scalar._forward_nufft_values``) from degree 33 and 2000 points on,
+in O(t**3 + N) for N points, and the direct sums, O(N * t**2), below.  The
+NUFFT's rounding noise stays far below the 1e-8 pass threshold: the
+Gauss-Legendre rules up to t = 140 read defects of at most 3e-11 on it
+(2.8e-11 at t = 140, where the direct sums read 1.5e-13).
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import FOUR_PI, QuadratureRule, check_unit
-from .legendre import _legendre_by_order, _order_phases, _point_chunks
-from .scalar import TensorGrid
+from .scalar import TensorGrid, _forward_direct_values, _forward_nufft_values, _nufft_pays
 
 _BUNDLED_DESIGNS = {"icosahedron12": ("icosahedron12.txt", 5)}
 
@@ -58,24 +62,13 @@ def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:
 
     Returns (max_defect, passed) where the defect is the largest deviation
     of sum_i w_i Y(l, m, x_i) from its exact value and passing means a
-    defect of at most 1e-8.  Real weights give |defect(l, -m)| equal to
-    |defect(l, m)|, so only m >= 0 is summed explicitly.
+    defect of at most 1e-8.
     """
     if t < 0:
         raise ValueError(f"certification degree must be non-negative, got {t}")
-    z = rule.points[:, 2]
-    phi = np.arctan2(rule.points[:, 1], rule.points[:, 0])
-    # sums[m, l] for l >= m; entries with l < m stay zero.
-    sums = np.zeros((t + 1, t + 1), dtype=np.complex128)
-    for chunk in _point_chunks(len(rule), t):
-        q = _legendre_by_order(t, z[chunk])
-        wph = rule.weights[chunk] * _order_phases(t, phi[chunk]).conj()
-        # Each order's complex row, viewed as (points, 2) real columns.
-        real = wph.view(np.float64).reshape(t + 1, -1, 2)
-        for m in range(t + 1):
-            sums[m, m:] += (q[m, m:] @ real[m]).view(np.complex128)[:, 0]
-        del q  # free the table before the next chunk allocates its own
-    sums[0, 0] -= np.sqrt(FOUR_PI)
+    forward = _forward_nufft_values if _nufft_pays(t, len(rule)) else _forward_direct_values
+    sums = forward(np.ones(len(rule)), rule, t)
+    sums[0] -= np.sqrt(FOUR_PI)
     defect = float(np.max(np.abs(sums)))
     return defect, defect <= 1e-8
 

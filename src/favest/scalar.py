@@ -57,7 +57,12 @@ semicircle kernel (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
 with the kernel's 13 x 13 stencil.  The forward is the exact transpose of
 those steps, so it stays the weighted adjoint to rounding.  Both agree with
 the direct sums to about 1e-12 relative.  The stencil is built per call,
-in point batches of at most ``_STENCIL_ENTRIES`` weights.
+in point batches of at most ``_STENCIL_ENTRIES`` weights, taken in order of
+colatitude so that each batch spreads into, and reads from, a band of the
+fine grid's rows instead of the whole grid.  Points without a usable grid
+take this route from scalar degree 33 and 2000 points on
+(:func:`_nufft_pays`), in the transforms' ``path="auto"`` and in
+``quadrature.verify_exactness`` alike.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size, from_spherical
-from .legendre import _batches, _legendre_by_order, _order_phases, _point_chunks
+from .legendre import _CHUNK_ENTRIES, _batches, _legendre_by_order, _order_phases, _point_chunks
 
 
 @dataclass(frozen=True)
@@ -239,6 +244,11 @@ def _require_bandwidth(grid: TensorGrid, lmax: int) -> None:
 
 #: Two rings pair when their cosines cancel to within this: 8 ulp of 1.
 _MIRROR_TOL = 8.0 * np.finfo(np.float64).eps
+#: A plan fills from kernel tables of an eighth of its rows, held between
+#: this many doubles and ``legendre._CHUNK_ENTRIES``: a table stays small
+#: next to the plan (about n_rows * (lmax + 1)**2 / 2 doubles), and the
+#: kernel, which takes O(lmax) Python steps per table, runs few times.
+_PLAN_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -286,7 +296,9 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
 
     even = [np.empty((rings.size, (lmax - m) // 2 + 1)) for m in range(lmax + 1)]
     odd = [np.empty((rings.size, (lmax - m + 1) // 2)) for m in range(lmax + 1)]
-    for batch in _point_chunks(rings.size, lmax):
+    per_row = (lmax + 1) ** 2
+    limit = min(_CHUNK_ENTRIES, max(_PLAN_ENTRIES, -(-rings.size // 8) * per_row))
+    for batch in _batches(rings.size, per_row, limit):
         q = _legendre_by_order(lmax, t[rings[batch]])
         for m in range(lmax + 1):
             even[m][batch] = q[m, m::2].T
@@ -419,6 +431,16 @@ def adjoint_sht_fast(coeffs: ScalarCoefficients, grid: TensorGrid) -> np.ndarray
 _NUFFT_WIDTH = 13
 #: Most kernel weights one stencil block may hold; bounds working memory.
 _STENCIL_ENTRIES = 1 << 18
+#: A scalar transform on points without a usable grid takes the NUFFT from
+#: this degree and this many points on, where it measured faster than the
+#: direct sums, whose cost per point grows with the degree (see CHANGES.md).
+_NUFFT_MIN_DEGREE = 33
+_NUFFT_MIN_POINTS = 2000
+
+
+def _nufft_pays(degree: int, n_points: int) -> bool:
+    """Whether a scalar transform of this degree on n scattered points takes the NUFFT."""
+    return degree >= _NUFFT_MIN_DEGREE and n_points >= _NUFFT_MIN_POINTS
 
 
 def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
@@ -427,7 +449,7 @@ def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.ndarray]:
+def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.ndarray, np.ndarray]:
     """The auxiliary grid, where its kept frequencies sit, and their factors.
 
     The grid has n = 2*lmax + 2 longitudes and the n/2 rings
@@ -435,10 +457,11 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.nd
     reflection theta -> 2pi - theta it is the equispaced n x n torus grid
     offset by half a step in theta.  The frequencies -lmax..lmax of each
     axis sit at ``coarse`` in the n x n spectrum and at ``fine`` in the
-    spectrum of the 2n x 2n fine grid.  ``factors[k1, k2]`` turns the
-    unscaled DFT of the torus samples into fine-grid coefficients: it
-    divides by n**2, removes the half-step offset with exp(-i*k1*pi/n) and
-    divides by the kernel's Fourier transform p(k1) * p(k2), where
+    spectrum of the 2n x 2n fine grid.  The separable factors
+    ``theta_factors[k1] * phi_factors[k2]`` turn the unscaled DFT of the
+    torus samples into fine-grid coefficients: they divide by n**2, remove
+    the half-step offset with exp(-i*k1*pi/n) and divide by the kernel's
+    Fourier transform p(k1) * p(k2), where
 
         p(k) = (w/2) * int_{-1}^{1} kernel(z) cos(k * w * pi * z / (2n)) dz
 
@@ -449,17 +472,25 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.nd
     freqs = np.r_[0 : lmax + 1, -lmax:0]
     z, wz = np.polynomial.legendre.leggauss(4 * width)
     p = 0.5 * width * (np.cos(np.outer(freqs, z) * (width * np.pi / (2 * n))) @ (wz * _es_kernel(z, width)))
-    factors = (np.exp(-1j * np.pi * freqs / n) / (n * n * p))[:, None] / p[None, :]
-    factors.flags.writeable = False
-    return grid, np.ix_(freqs % n, freqs % n), np.ix_(freqs % (2 * n), freqs % (2 * n)), factors
+    theta_factors = (np.exp(-1j * np.pi * freqs / n) / (n * n * p))[:, None, None]
+    phi_factors = (1.0 / p)[:, None]
+    for factors in (theta_factors, phi_factors):
+        factors.flags.writeable = False
+    coarse = np.ix_(freqs % n, freqs % n)
+    fine = np.ix_(freqs % (2 * n), freqs % (2 * n))
+    return grid, coarse, fine, theta_factors, phi_factors
 
 
 def _stencil(theta: np.ndarray, phi: np.ndarray, n_fine: int, width: int):
-    """CSR block of kernel weights from the points to the fine torus grid.
+    """Kernel weights from the points to the band of fine-grid rows they touch.
 
-    Row k holds the width x width tensor-product kernel weights of point
-    (theta[k], phi[k]) at its nearest nodes of the n_fine x n_fine grid of
-    spacing 2pi/n_fine, wrapped periodically; columns are ring-major.
+    Returns (block, segments).  Row k of the CSR ``block`` holds the width
+    x width tensor-product kernel weights of point (theta[k], phi[k]) at
+    its nearest nodes of the n_fine x n_fine grid of spacing 2pi/n_fine;
+    its columns are ring-major over the band's rows, wrapped in phi.  The
+    (band rows, grid rows) slice pairs of ``segments`` place band row j at
+    grid row (first + j) mod n_fine; the first row is negative near the
+    north pole.
     """
     from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
 
@@ -471,13 +502,36 @@ def _stencil(theta: np.ndarray, phi: np.ndarray, n_fine: int, width: int):
         # The width nodes within width/2 grid steps of the point.
         weights = _es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width)
         # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
-        nodes = (start.astype(np.int32)[:, None] + offsets.astype(np.int32)) % n_fine
-        axes.append((nodes, weights))
+        axes.append((start.astype(np.int32)[:, None] + offsets.astype(np.int32), weights))
     (rows, wt), (cols, wp) = axes
-    indices = (rows[:, :, None] * n_fine + cols[:, None, :]).reshape(-1)
+    first = int(rows[:, 0].min())
+    height = int(rows[:, -1].max()) + 1 - first
+    indices = ((rows - first)[:, :, None] * n_fine + (cols % n_fine)[:, None, :]).reshape(-1)
     data = (wt[:, :, None] * wp[:, None, :]).reshape(-1)
     indptr = np.arange(0, data.size + 1, width * width, dtype=np.int32)
-    return csr_array((data, indices, indptr), shape=(theta.size, n_fine * n_fine))
+    segments = []
+    j = 0
+    while j < height:
+        row = (first + j) % n_fine
+        k = min(height - j, n_fine - row)
+        segments.append((slice(j, j + k), slice(row, row + k)))
+        j += k
+    return csr_array((data, indices, indptr), shape=(theta.size, height * n_fine)), segments
+
+
+def _stencil_bands(points: np.ndarray, n_fine: int, width: int):
+    """Point batches in colatitude order, each with its :func:`_stencil`.
+
+    Yields (idx, block, segments) per batch of at most ``_STENCIL_ENTRIES``
+    kernel weights.  Sorted by colatitude, the batches' bands split the
+    n_fine/2 + width rows that points reach, so spreading adds into a band
+    instead of a whole fine grid.
+    """
+    theta, phi = _sphere_angles(points)
+    order = np.argsort(theta)
+    for batch in _batches(order.size, width * width, _STENCIL_ENTRIES):
+        idx = order[batch]
+        yield (idx, *_stencil(theta[idx], phi[idx], n_fine, width))
 
 
 def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,28 +552,31 @@ def _adjoint_nufft_values(values: np.ndarray, lmax: int, points: np.ndarray) -> 
 
     pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     width = _NUFFT_WIDTH
-    grid, coarse, fine_at, factors = _nufft_setup(lmax, width)
+    grid, coarse, fine_at, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, values.shape[1]
     half = _adjoint_fast_values(values, lmax, grid).reshape(n // 2, n, c)
     torus = np.concatenate([half, np.roll(half[::-1], n // 2, axis=1)])
     spectrum = fft.fft2(torus, axes=(0, 1), overwrite_x=True)
     fine = np.zeros((2 * n, 2 * n, c), dtype=np.complex128)
-    fine[fine_at] = factors[..., None] * spectrum[coarse]
-    # The fine-grid values as real pairs, one row per node.
-    nodes = fft.ifft2(fine, axes=(0, 1), norm="forward", overwrite_x=True).reshape(-1, c).view(np.float64)
-    theta, phi = _sphere_angles(pts)
+    fine[fine_at] = spectrum[coarse] * theta_factors * phi_factors
+    del half, torus, spectrum  # free them before the fine grid is read
+    # The fine-grid values as real pairs: one row of 2n nodes per fine ring.
+    nodes = fft.ifft2(fine, axes=(0, 1), norm="forward", overwrite_x=True).view(np.float64)
     out = np.empty((pts.shape[0], 2 * c), dtype=np.float64)
-    for batch in _batches(pts.shape[0], width * width, _STENCIL_ENTRIES):
-        out[batch] = _stencil(theta[batch], phi[batch], 2 * n, width) @ nodes
+    for idx, block, segments in _stencil_bands(pts, 2 * n, width):
+        band = np.concatenate([nodes[rows] for _, rows in segments])
+        out[idx] = block @ band.reshape(-1, 2 * c)
+        del block, band  # free them before the next batch builds its own
     return out.view(np.complex128)
 
 
 def _forward_nufft_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.ndarray:
     """Forward sums at arbitrary points: the exact transpose of the NUFFT adjoint.
 
-    Spreads the weighted samples onto the fine grid (type-1 NUFFT), crops
-    and scales its spectrum with the conjugate factors, folds the reflected
-    half of the torus back, and analyses on the auxiliary grid.
+    Spreads the weighted samples onto the fine grid (type-1 NUFFT), one
+    colatitude band at a time, crops and scales its spectrum with the
+    conjugate factors, folds the reflected half of the torus back, and
+    analyses on the auxiliary grid.
     """
     from scipy import fft
 
@@ -527,16 +584,22 @@ def _forward_nufft_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.
     wf = rule.weights[:, None] * np.atleast_2d(vals.T).T
     pts = check_unit(rule.points)
     width = _NUFFT_WIDTH
-    grid, coarse, fine_at, factors = _nufft_setup(lmax, width)
+    grid, coarse, fine_at, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, wf.shape[1]
-    theta, phi = _sphere_angles(pts)
     rows = wf.view(np.float64)
-    nodes = np.zeros((4 * n * n, 2 * c), dtype=np.float64)
-    for batch in _batches(len(rule), width * width, _STENCIL_ENTRIES):
-        nodes += _stencil(theta[batch], phi[batch], 2 * n, width).T @ rows[batch]
-    fine = fft.fft2(nodes.view(np.complex128).reshape(2 * n, 2 * n, c), axes=(0, 1), overwrite_x=True)
+    nodes = np.zeros((2 * n, 2 * n, 2 * c), dtype=np.float64)
+    for idx, block, segments in _stencil_bands(pts, 2 * n, width):
+        band = (block.T @ rows[idx]).reshape(-1, 2 * n, 2 * c)
+        for part, grid_rows in segments:
+            nodes[grid_rows] += band[part]
+        del block, band  # free them before the next batch builds its own
+    fine = fft.fft2(nodes.view(np.complex128), axes=(0, 1), overwrite_x=True)
+    kept = fine[fine_at]
+    del nodes, fine  # free the fine grid before the auxiliary analysis
+    kept *= theta_factors.conj()
+    kept *= phi_factors
     spectrum = np.zeros((n, n, c), dtype=np.complex128)
-    spectrum[coarse] = factors.conj()[..., None] * fine[fine_at]
+    spectrum[coarse] = kept
     torus = fft.ifft2(spectrum, axes=(0, 1), norm="forward", overwrite_x=True)
     half = torus[: n // 2] + np.roll(torus[n // 2 :][::-1], n // 2, axis=1)
     out = _forward_fast_values(half.reshape(-1, c), grid, lmax)

@@ -61,17 +61,18 @@ from .scalar import (
     _forward_direct_values,
     _forward_fast_values,
     _forward_nufft_values,
+    _nufft_pays,
 )
 
 PATHS = ("auto", "direct-scalar", "fast-scalar", "nufft")
-# Below these a scalar transform's direct sums beat the NUFFT route, whose
-# cost per point does not grow with the degree (measurements in CHANGES.md).
-_NUFFT_MIN_DEGREE = 33
-_NUFFT_MIN_POINTS = 2000
 
 
 def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, QuadratureRule | None]:
-    """Normalize a rule / grid / raw point array into (points, grid, rule)."""
+    """Normalize a rule / grid / raw point array into (points, grid, rule).
+
+    The points are unit: a rule checked its own when it was built, a grid
+    makes them, and raw ones are checked here.
+    """
     if isinstance(rule_or_points, QuadratureRule):
         return rule_or_points.points, rule_or_points.grid, rule_or_points
     if isinstance(rule_or_points, TensorGrid):
@@ -84,8 +85,8 @@ def _pick_path(path: str, grid: TensorGrid | None, lmax: int, n_points: int) -> 
     """Name the scalar route for a degree-lmax vector transform on n_points points.
 
     "auto" takes "fast-scalar" when the grid has enough longitudes, else
-    "nufft" from scalar degree ``_NUFFT_MIN_DEGREE`` and ``_NUFFT_MIN_POINTS``
-    points on, else "direct-scalar".  An explicit "fast-scalar" request that
+    "nufft" where ``scalar._nufft_pays`` says so for the scalar degree
+    lmax + 1, else "direct-scalar".  An explicit "fast-scalar" request that
     the grid cannot serve raises ValueError.
     """
     if path not in PATHS:
@@ -103,7 +104,7 @@ def _pick_path(path: str, grid: TensorGrid | None, lmax: int, n_points: int) -> 
         return path
     if grid is not None and grid.n_phi >= needed:
         return "fast-scalar"
-    if lmax + 1 >= _NUFFT_MIN_DEGREE and n_points >= _NUFFT_MIN_POINTS:
+    if _nufft_pays(lmax + 1, n_points):
         return "nufft"
     return "direct-scalar"
 
@@ -177,7 +178,7 @@ def adjoint_favest(
         values = _adjoint_nufft_values(merged, top, points)
     else:
         values = _adjoint_direct_values(merged, top, points)
-    return TangentFieldSamples(points=points, values=values)
+    return TangentFieldSamples._at_checked_points(points, values)
 
 
 class RoundtripResult(NamedTuple):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,19 @@ def test_coupling_matrix_is_cached_real_and_sparse():
         k.data[0] = 1.0
     with pytest.raises(ValueError):
         coupling_matrix(0)
+
+
+def test_coupling_matrix_build_stages_little_beyond_k():
+    lmax = 128
+    coupling_matrix(lmax)  # the cached degrees_orders tables are not staging
+    tracemalloc.start()
+    try:
+        k = coupling_matrix.__wrapped__(lmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
+    assert peak <= 1.5 * stored, (peak, stored)
 
 
 def test_tables_match_scalar_cg_loop():

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import favest.legendre
+import favest.quadrature
+import favest.scalar
 from favest.core import FOUR_PI, QuadratureRule
 from favest.legendre import ylm_table
 from favest.quadrature import bundled_design, gen_gl_tensor, load_design, verify_exactness
@@ -64,6 +66,49 @@ def test_verify_matches_brute_force_on_random_rule(per_chunk, monkeypatch):
         defect, passed = verify_exactness(rule, t)
         assert defect == pytest.approx(np.max(np.abs(sums)), rel=1e-12, abs=1e-14), t
         assert passed == (defect <= 1e-8)
+
+
+def _random_weighted_rule(rng, n):
+    v = rng.standard_normal((n, 3))
+    pts = v / np.linalg.norm(v, axis=1, keepdims=True)
+    w = rng.uniform(0.2, 1.8, n)
+    return QuadratureRule(pts, w * FOUR_PI / np.sum(w), exactness=0)
+
+
+def test_verify_matches_brute_force_above_the_crossover():
+    rule = _random_weighted_rule(np.random.default_rng(47), 2500)
+    t = 40
+    assert favest.scalar._nufft_pays(t, len(rule))
+    chunks = [slice(k, k + 500) for k in range(0, 2500, 500)]  # bounds the brute-force table
+    sums = sum(rule.weights[c] @ ylm_table(t, rule.points[c]) for c in chunks)
+    sums[0] -= np.sqrt(FOUR_PI)
+    defect, passed = verify_exactness(rule, t)
+    assert abs(defect - np.max(np.abs(sums))) <= 1e-11
+    assert not passed
+
+
+def test_verify_takes_the_scalar_route_auto_would(monkeypatch):
+    calls = []
+    for route in ("nufft", "direct"):
+        name = f"_forward_{route}_values"
+
+        def record(*args, _fn=getattr(favest.quadrature, name), _route=route):
+            calls.append(_route)
+            return _fn(*args)
+
+        monkeypatch.setattr(favest.quadrature, name, record)
+    rng = np.random.default_rng(53)
+    top, most = favest.scalar._NUFFT_MIN_DEGREE, favest.scalar._NUFFT_MIN_POINTS
+    for t, n, route in ((top, most, "nufft"), (top - 1, most, "direct"), (top, most - 1, "direct")):
+        verify_exactness(_random_weighted_rule(rng, n), t)
+        assert calls == [route], (t, n, calls)
+        calls.clear()
+    # A tensor rule is certified from its points and weights: no grid plan.
+    _, rule = gen_gl_tensor(66)
+    assert len(rule) >= most
+    defect, passed = verify_exactness(rule, 66)
+    assert calls == ["nufft"] and passed and defect <= 1e-10
+    assert not rule.grid._plans
 
 
 def test_single_point_is_not_a_one_design():

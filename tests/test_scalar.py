@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,54 @@ def test_nufft_stencil_batches_match_one_batch(monkeypatch):
     assert len(favest.legendre._batches(n, width * width, 8 * width * width)) == 7
     assert np.array_equal(_adjoint_nufft_values(g, lmax, pts), one_adj)
     assert _relative(_forward_nufft_values(f, rule, lmax), one_fwd) <= 1e-14
+
+
+def test_nufft_factors_are_the_dense_factors_separated():
+    for lmax in (0, 5, 40):
+        width = favest.scalar._NUFFT_WIDTH
+        _, _, _, theta_factors, phi_factors = _nufft_setup(lmax, width)
+        # The (2 lmax + 1)**2 table the factors once were.
+        n = 2 * lmax + 2
+        freqs = np.r_[0 : lmax + 1, -lmax:0]
+        z, wz = np.polynomial.legendre.leggauss(4 * width)
+        kernel = np.exp(2.3 * width * (np.sqrt(1.0 - z * z) - 1.0))
+        p = 0.5 * width * (np.cos(np.outer(freqs, z) * (width * np.pi / (2 * n))) @ (wz * kernel))
+        dense = (np.exp(-1j * np.pi * freqs / n) / (n * n * p))[:, None] / p[None, :]
+        assert theta_factors.shape == (2 * lmax + 1, 1, 1) and phi_factors.shape == (2 * lmax + 1, 1)
+        assert _relative((theta_factors * phi_factors)[..., 0], dense) <= 1e-15
+
+
+def test_nufft_forward_spreads_without_a_second_fine_grid(monkeypatch):
+    rng = np.random.default_rng(71)
+    lmax, n = 64, 2000
+    width = favest.scalar._NUFFT_WIDTH
+    # Small stencil blocks, so that the fine grid dominates the peak.
+    monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 64 * width * width)
+    rule = QuadratureRule(_awkward_points(rng, n), np.full(n, FOUR_PI / n), exactness=0)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    _forward_nufft_values(f, rule, lmax)  # warm-up: the auxiliary grid and its plan
+    fine_grid = (4 * lmax + 4) ** 2 * 16  # bytes of the 2n x 2n complex fine grid
+    tracemalloc.start()
+    try:
+        _forward_nufft_values(f, rule, lmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One fine grid plus bands, never a whole-grid temporary per stencil batch.
+    assert peak <= 1.75 * fine_grid, (peak, fine_grid)
+
+
+def test_nufft_batches_take_consecutive_colatitude_bands(monkeypatch):
+    rng = np.random.default_rng(73)
+    width, n_fine = favest.scalar._NUFFT_WIDTH, 260
+    monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 64 * width * width)
+    pts = _awkward_points(rng, 2000)
+    batches = list(favest.scalar._stencil_bands(pts, n_fine, width))
+    assert sorted(np.concatenate([idx for idx, _, _ in batches])) == list(range(2000))
+    # Kernel start rows span n_fine / 2 + 1 rows in all; sorted batches share
+    # that span and add one kernel width each.
+    heights = [block.shape[1] // n_fine for _, block, _ in batches]
+    assert sum(heights) <= n_fine // 2 + 1 + len(batches) * width, heights
 
 
 def test_nufft_adjoint_rejects_non_unit_points():

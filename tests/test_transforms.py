@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import favest.core
 import favest.scalar
 import favest.transforms
 from favest.core import (
@@ -134,8 +135,8 @@ def test_auto_routes_by_degree_and_point_count(monkeypatch):
 
         monkeypatch.setattr(favest.transforms, name, record)
     rng = np.random.default_rng(20)
-    top = favest.transforms._NUFFT_MIN_DEGREE  # scalar degree of vector degree top - 1
-    most = favest.transforms._NUFFT_MIN_POINTS
+    top = favest.scalar._NUFFT_MIN_DEGREE  # scalar degree of vector degree top - 1
+    most = favest.scalar._NUFFT_MIN_POINTS
     for lmax, n, expected in (
         (top - 1, most, "nufft"),
         (top - 1, most - 1, "direct"),
@@ -320,6 +321,26 @@ def test_grid_is_immutable():
             array[0] = 0.5
     with pytest.raises(AttributeError):
         grid.n_phi = 3
+
+
+def test_adjoint_reuses_the_rules_checked_points(monkeypatch):
+    rng = np.random.default_rng(23)
+    _, rule = gen_gl_tensor(12)
+    coeffs = _random_coeffs(rng, 5)
+    checks = []
+    original = favest.core.check_unit
+
+    def counted(*args, **kwargs):
+        checks.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(favest.core, "check_unit", counted)
+    samples = adjoint_favest(coeffs, rule)
+    assert samples.points is rule.points and not checks
+    assert samples.values.shape == rule.points.shape and samples.values.dtype == np.complex128
+    # Samples a caller builds are still checked.
+    TangentFieldSamples(rule.points, samples.values)
+    assert checks
 
 
 def test_working_memory_is_linear_in_points():
