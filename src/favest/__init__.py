@@ -4,7 +4,8 @@ Tangent fields on the unit 2-sphere are decomposed into divergence-free and
 curl-free harmonic families; both analysis (samples -> coefficients) and
 synthesis (coefficients -> samples) reduce to a handful of scalar transforms
 glued together with Clebsch-Gordan weights, giving fast paths on iso-latitude
-tensor grids and direct paths for scattered points.
+tensor grids and a NUFFT route (or, for small problems, direct sums) for
+scattered points.
 """
 
 from .core import (

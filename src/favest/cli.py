@@ -106,7 +106,7 @@ def cmd_fwd(args) -> int:
 def cmd_adj(args) -> int:
     coeffs = fio.read_coefficients(args.coeffs)
     rule = fio.read_rule_file(args.points, 0)
-    samples = adjoint_favest(coeffs, rule.points)
+    samples = adjoint_favest(coeffs, rule)
     fio.write_samples(args.out, samples)
     print(f"wrote {len(samples)} synthesized samples to {args.out}")
     return 0

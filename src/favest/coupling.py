@@ -12,7 +12,7 @@ coupling it to the scalar tables at (l + dl, m - m2).  The range-validity
 rule lives in K's build: an entry whose source leaves the tables is zero
 and is not stored.  ``apply_coupling`` applies K, ``build_adjoint_coupling``
 its conjugate transpose; ``build_cg_tables`` tabulates the coefficients by
-source index for diagnostics.
+source index, the reference the tests check K against.
 
 ``wigner_3j`` is the independent check oracle (Racah's single-sum formula
 with log-factorial accumulation); production paths never call it.

@@ -19,20 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    QuadratureRule,
-    TangentFieldSamples,
-    VectorCoefficients,
-    ScalarCoefficients,
-    check_unit,
-    degrees_orders,
-    flat_size,
-)
-from .coupling import build_cg_tables
+from .core import ScalarCoefficients, TangentFieldSamples, VectorCoefficients, flat_size
+from .coupling import cg_explicit, coupling_weight_c, coupling_weight_d
 from .legendre import ylm_table
 from .quadrature import gen_gl_tensor
-from .transforms import adjoint_favest, forward_favest
-from .vsh import _families_from_table
+from .transforms import _resolve_grid, adjoint_favest, forward_favest
+from .vsh import _column, _families_from_table, _table_batches
 
 _SQRT2 = np.sqrt(2.0)
 _DENOM_FLOOR = 1e-300
@@ -78,51 +70,37 @@ class StabilityReport:
         return self.ratio_curl / self.n_points
 
 
-def _as_points(rule_or_points) -> np.ndarray:
-    if isinstance(rule_or_points, QuadratureRule):
-        return rule_or_points.points
-    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64)))
+# The (dl, m2) kinds of the envelope terms, summed in this order.
+_DIV_TERMS = ((-1, 1), (1, 1), (-1, -1), (1, -1), (-1, 0), (1, 0))
+_CURL_TERMS = ((0, 1), (0, -1), (0, 0))
 
 
 def _iter_envelopes(lmax: int, points: np.ndarray):
-    """Yield (div, curl, env_div, env_curl) point arrays per (l, m), |m| >= 1."""
-    table = ylm_table(lmax + 1, points)
-    abs_table = np.abs(table)
-    tables = build_cg_tables(lmax)
-    xi = {i: np.abs(tables.xi[i]) for i in range(1, 7)}
-    mu = {i: np.abs(tables.mu[i]) for i in range(1, 4)}
+    """Yield (div, curl, env_div, env_curl) per point batch and degree l, orders |m| >= 1.
+
+    The harmonics are (n, 2l, 3) and the envelopes (n, 2l) for a batch of n
+    points.  Term (dl, m2) weighs |Y(l + dl, m - m2)|, the source the
+    assembly reads, by the absolute coupling coefficient; both are zero off
+    the table.
+    """
     top = lmax + 1
+    for batch in _table_batches(points.shape[0], lmax):
+        table = ylm_table(top, points[batch])
+        abs_table = np.abs(table)
+        for l in range(1, lmax + 1):
+            m = np.r_[-l:0, 1 : l + 1]
+            weights = {-1: coupling_weight_c(l), 0: 1.0, 1: coupling_weight_d(l)}
 
-    def col(l: int, m: int) -> np.ndarray:
-        if l < 0 or l > top or abs(m) > l:
-            return np.zeros(points.shape[0])
-        return abs_table[:, l * l + l + m]
+            def envelope(kinds) -> np.ndarray:
+                terms = (
+                    np.abs(weights[dl] * cg_explicit(dl, m2, l, m))
+                    * _column(abs_table, top, l + dl, m - m2)
+                    for dl, m2 in kinds
+                )
+                return _SQRT2 * sum(terms)
 
-    def tab(values: np.ndarray, l: int, m: int) -> float:
-        # coupling weight at the *shifted* index the assembly reads it at
-        if l < 0 or l > top or abs(m) > l:
-            return 0.0
-        return float(values[l * l + l + m])
-
-    for l in range(1, lmax + 1):
-        for m in range(-l, l + 1):
-            if m == 0:
-                continue
             div, curl = _families_from_table(l, m, table, top)
-            env_div = _SQRT2 * (
-                tab(xi[1], l - 1, m - 1) * col(l - 1, m - 1)
-                + tab(xi[2], l + 1, m - 1) * col(l + 1, m - 1)
-                + tab(xi[3], l - 1, m + 1) * col(l - 1, m + 1)
-                + tab(xi[4], l + 1, m + 1) * col(l + 1, m + 1)
-                + tab(xi[5], l - 1, m) * col(l - 1, m)
-                + tab(xi[6], l + 1, m) * col(l + 1, m)
-            )
-            env_curl = _SQRT2 * (
-                tab(mu[1], l, m - 1) * col(l, m - 1)
-                + tab(mu[3], l, m + 1) * col(l, m + 1)
-                + tab(mu[2], l, m) * col(l, m)
-            )
-            yield div, curl, env_div, env_curl
+            yield div, curl, envelope(_DIV_TERMS), envelope(_CURL_TERMS)
 
 
 def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
@@ -134,12 +112,12 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
     """
     if lmax < 1:
         raise ValueError(f"need lmax >= 1, got {lmax}")
-    points = _as_points(rule_or_points)
+    points, _ = _resolve_grid(rule_or_points)
     worst_div = 0.0
     worst_curl = 0.0
     for div, curl, env_div, env_curl in _iter_envelopes(lmax, points):
-        div_mag = np.sqrt(np.sum(np.abs(div) ** 2, axis=1))
-        curl_mag = np.sqrt(np.sum(np.abs(curl) ** 2, axis=1))
+        div_mag = np.sqrt(np.sum(np.abs(div) ** 2, axis=-1))
+        curl_mag = np.sqrt(np.sum(np.abs(curl) ** 2, axis=-1))
         ok = env_div > _DENOM_FLOOR
         if np.any(ok):
             worst_div = max(worst_div, float(np.max(div_mag[ok] / env_div[ok])))
@@ -153,13 +131,13 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
 
 def component_envelope_check(lmax: int, rule_or_points) -> float:
     """Largest component magnitude as a fraction of its envelope (<= 1)."""
-    points = _as_points(rule_or_points)
+    points, _ = _resolve_grid(rule_or_points)
     worst = 0.0
     for div, curl, env_div, env_curl in _iter_envelopes(lmax, points):
         for fam, env in ((div, env_div), (curl, env_curl)):
             ok = env > _DENOM_FLOOR
             if np.any(ok):
-                comp_max = np.max(np.abs(fam), axis=1)
+                comp_max = np.max(np.abs(fam), axis=-1)
                 worst = max(worst, float(np.max(comp_max[ok] / env[ok])))
     return worst
 

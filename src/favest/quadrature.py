@@ -14,12 +14,12 @@ Gram integrands reach degree 2(L+1).
 The sums are the degree-t scalar forward transform of f = 1 on the rule,
 F(l, m) = sum_i w_i conj(Y(l, m, x_i)), whose moduli equal those of the
 sums above.  The certifier reads only points and weights, never a grid, and
-picks the scalar route as ``path="auto"`` does on scattered points: the
-NUFFT (``scalar._forward_nufft_values``) from degree 33 and 2000 points on,
-in O(t**3 + N) for N points, and the direct sums, O(N * t**2), below.  The
-NUFFT's rounding noise stays far below the 1e-8 pass threshold: the
-Gauss-Legendre rules up to t = 140 read defects of at most 3e-11 on it
-(2.8e-11 at t = 140, where the direct sums read 1.5e-13).
+lets ``scalar.py``, where every scalar route is decided, pick the route as
+``path="auto"`` does on scattered points: the NUFFT from degree 33 and 2000
+points on, in O(t**3 + N) for N points, and the direct sums, O(N * t**2),
+below.  The NUFFT's rounding noise stays far below the 1e-8 pass
+threshold: the Gauss-Legendre rules up to t = 140 read defects of at most
+3e-11 on it (2.8e-11 at t = 140, where the direct sums read 1.5e-13).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import FOUR_PI, QuadratureRule, check_unit
-from .scalar import TensorGrid, _forward_direct_values, _forward_nufft_values, _nufft_pays
+from .scalar import TensorGrid, _forward_values, _pick_path
 
 _BUNDLED_DESIGNS = {"icosahedron12": ("icosahedron12.txt", 5)}
 
@@ -66,8 +66,8 @@ def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:
     """
     if t < 0:
         raise ValueError(f"certification degree must be non-negative, got {t}")
-    forward = _forward_nufft_values if _nufft_pays(t, len(rule)) else _forward_direct_values
-    sums = forward(np.ones(len(rule)), rule, t)
+    route = _pick_path("auto", None, t, len(rule))  # no grid: never a grid plan
+    sums = _forward_values(route, np.ones(len(rule)), rule, t)
     sums[0] -= np.sqrt(FOUR_PI)
     defect = float(np.max(np.abs(sums)))
     return defect, defect <= 1e-8

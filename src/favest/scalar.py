@@ -59,10 +59,15 @@ those steps, so it stays the weighted adjoint to rounding.  Both agree with
 the direct sums to about 1e-12 relative.  The stencil is built per call,
 in point batches of at most ``_STENCIL_ENTRIES`` weights, taken in order of
 colatitude so that each batch spreads into, and reads from, a band of the
-fine grid's rows instead of the whole grid.  Points without a usable grid
-take this route from scalar degree 33 and 2000 points on
-(:func:`_nufft_pays`), in the transforms' ``path="auto"`` and in
-``quadrature.verify_exactness`` alike.
+fine grid's rows instead of the whole grid.
+
+The route of a scalar transform is decided in this module alone:
+:func:`_pick_path` names it and :func:`_forward_values` or
+:func:`_adjoint_values` runs its kernel.  The vector transforms and
+``quadrature.verify_exactness`` make one call of each.  ``path="auto"``
+takes the fast path on a grid with n_phi >= 2*lmax + 1, else the NUFFT
+from scalar degree 33 and 2000 points on (:func:`_nufft_pays`), else the
+direct sums.
 """
 
 from __future__ import annotations
@@ -235,11 +240,9 @@ def _adjoint_direct_values(values: np.ndarray, lmax: int, points: np.ndarray) ->
     return np.ascontiguousarray(out.T).view(np.complex128)
 
 
-def _require_bandwidth(grid: TensorGrid, lmax: int) -> None:
-    if grid.n_phi < 2 * lmax + 1:
-        raise ValueError(
-            f"fast path needs n_phi >= 2*lmax+1 = {2 * lmax + 1}, grid has n_phi={grid.n_phi}"
-        )
+def _has_bandwidth(grid: TensorGrid, lmax: int) -> bool:
+    """Whether no order up to lmax aliases on the grid: n_phi >= 2*lmax + 1."""
+    return grid.n_phi >= 2 * lmax + 1
 
 
 #: Two rings pair when their cosines cancel to within this: 8 ulp of 1.
@@ -280,7 +283,10 @@ def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     """
     plan = grid._plans.get(lmax)
     if plan is None:
-        _require_bandwidth(grid, lmax)
+        if not _has_bandwidth(grid, lmax):
+            raise ValueError(
+                f"fast path needs n_phi >= 2*lmax+1 = {2 * lmax + 1}, grid has n_phi={grid.n_phi}"
+            )
         plan = _build_plan(grid, lmax)
         grid._plans[lmax] = plan
     return plan
@@ -441,6 +447,48 @@ _NUFFT_MIN_POINTS = 2000
 def _nufft_pays(degree: int, n_points: int) -> bool:
     """Whether a scalar transform of this degree on n scattered points takes the NUFFT."""
     return degree >= _NUFFT_MIN_DEGREE and n_points >= _NUFFT_MIN_POINTS
+
+
+PATHS = ("auto", "direct-scalar", "fast-scalar", "nufft")
+
+
+def _pick_path(path: str, grid: TensorGrid | None, degree: int, n_points: int) -> str:
+    """Name the route of a degree-``degree`` scalar transform on n_points points.
+
+    "auto" takes "fast-scalar" when the grid has the bandwidth, else
+    "nufft" where :func:`_nufft_pays` says so, else "direct-scalar".  An
+    explicit route is kept; "fast-scalar" without a grid raises ValueError,
+    and on a grid without the bandwidth :func:`_plan` raises it.
+    """
+    if path not in PATHS:
+        raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
+    if path == "fast-scalar" and grid is None:
+        raise ValueError("fast-scalar path requires a rule with tensor-grid structure")
+    if path != "auto":
+        return path
+    if grid is not None and _has_bandwidth(grid, degree):
+        return "fast-scalar"
+    return "nufft" if _nufft_pays(degree, n_points) else "direct-scalar"
+
+
+def _forward_values(route: str, f: np.ndarray, rule: QuadratureRule, degree: int) -> np.ndarray:
+    """Forward sums of f on the rule, to ``degree``, by the named route."""
+    if route == "fast-scalar":
+        return _forward_fast_values(f, rule.grid, degree)
+    if route == "nufft":
+        return _forward_nufft_values(f, rule, degree)
+    return _forward_direct_values(f, rule, degree)
+
+
+def _adjoint_values(
+    route: str, values: np.ndarray, degree: int, points: np.ndarray, grid: TensorGrid | None
+) -> np.ndarray:
+    """Adjoint sums of the (size, c) columns at the points, or the grid's, by the named route."""
+    if route == "fast-scalar":
+        return _adjoint_fast_values(values, degree, grid)
+    if route == "nufft":
+        return _adjoint_nufft_values(values, degree, points)
+    return _adjoint_direct_values(values, degree, points)
 
 
 def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:

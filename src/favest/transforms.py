@@ -19,10 +19,11 @@ Each scalar transform runs on one of three routes:
   FFT, O(L^3 + M) on M points and accurate to about 1e-12 relative;
 * "direct-scalar": direct sums over any points, O(M L^2).
 
-``path="auto"`` takes the fast path whenever the rule carries a tensor grid
-with enough longitudes.  Otherwise it takes the NUFFT from scalar degree
-33 (vector degree 32) and 2000 points on, where it measured faster than
-the direct sums, and the direct sums below.  The direct route is
+The route is decided in ``scalar.py`` (``scalar._pick_path``), which also
+runs it.  ``path="auto"`` takes the fast path whenever the rule carries a
+tensor grid with enough longitudes.  Otherwise it takes the NUFFT from
+scalar degree 33 (vector degree 32) and 2000 points on, where it measured
+faster than the direct sums, and the direct sums below.  The direct route is
 algebraically identical to the direct vector transforms for any
 point/weight family, not just exact rules - that identity is the main
 correctness test of the package.  So is the fast route, except that it
@@ -47,66 +48,25 @@ import numpy as np
 
 from .core import (
     QuadratureRule,
-    ScalarCoefficients,
     TangentFieldSamples,
     VectorCoefficients,
     check_unit,
 )
 from .coupling import apply_coupling, build_adjoint_coupling
-from .scalar import (
-    TensorGrid,
-    _adjoint_direct_values,
-    _adjoint_fast_values,
-    _adjoint_nufft_values,
-    _forward_direct_values,
-    _forward_fast_values,
-    _forward_nufft_values,
-    _nufft_pays,
-)
-
-PATHS = ("auto", "direct-scalar", "fast-scalar", "nufft")
+from .scalar import TensorGrid, _adjoint_values, _forward_values, _pick_path
 
 
-def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, QuadratureRule | None]:
-    """Normalize a rule / grid / raw point array into (points, grid, rule).
+def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None]:
+    """Normalize a rule / grid / raw point array into (points, grid).
 
     The points are unit: a rule checked its own when it was built, a grid
     makes them, and raw ones are checked here.
     """
     if isinstance(rule_or_points, QuadratureRule):
-        return rule_or_points.points, rule_or_points.grid, rule_or_points
+        return rule_or_points.points, rule_or_points.grid
     if isinstance(rule_or_points, TensorGrid):
-        return rule_or_points.points(), rule_or_points, None
-    pts = check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64)))
-    return pts, None, None
-
-
-def _pick_path(path: str, grid: TensorGrid | None, lmax: int, n_points: int) -> str:
-    """Name the scalar route for a degree-lmax vector transform on n_points points.
-
-    "auto" takes "fast-scalar" when the grid has enough longitudes, else
-    "nufft" where ``scalar._nufft_pays`` says so for the scalar degree
-    lmax + 1, else "direct-scalar".  An explicit "fast-scalar" request that
-    the grid cannot serve raises ValueError.
-    """
-    if path not in PATHS:
-        raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
-    needed = 2 * (lmax + 1) + 1
-    if path == "fast-scalar":
-        if grid is None:
-            raise ValueError("fast-scalar path requires a rule with tensor-grid structure")
-        if grid.n_phi < needed:
-            raise ValueError(
-                f"fast-scalar path needs n_phi >= {needed} for degree {lmax}, "
-                f"grid has n_phi={grid.n_phi}"
-            )
-    if path != "auto":
-        return path
-    if grid is not None and grid.n_phi >= needed:
-        return "fast-scalar"
-    if _nufft_pays(lmax + 1, n_points):
-        return "nufft"
-    return "direct-scalar"
+        return rule_or_points.points(), rule_or_points
+    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64))), None
 
 
 def forward_favest(
@@ -141,15 +101,8 @@ def forward_favest(
         raise ValueError("sample points do not match the quadrature rule points")
     if not np.all(np.isfinite(samples.values)):
         raise ValueError("sample values must be finite")
-    route = _pick_path(path, rule.grid, lmax, len(rule))
-    top = lmax + 1
-    if route == "fast-scalar":
-        f = _forward_fast_values(samples.values, rule.grid, top)
-    elif route == "nufft":
-        f = _forward_nufft_values(samples.values, rule, top)
-    else:
-        f = _forward_direct_values(samples.values, rule, top)
-    return apply_coupling(f, lmax)
+    route = _pick_path(path, rule.grid, lmax + 1, len(rule))
+    return apply_coupling(_forward_values(route, samples.values, rule, lmax + 1), lmax)
 
 
 def adjoint_favest(
@@ -168,16 +121,10 @@ def adjoint_favest(
     """
     if not (np.all(np.isfinite(coeffs.div.values)) and np.all(np.isfinite(coeffs.curl.values))):
         raise ValueError("coefficient values must be finite")
-    points, grid, _ = _resolve_grid(rule_or_points)
-    route = _pick_path(path, grid, coeffs.lmax, points.shape[0])
-    merged = build_adjoint_coupling(coeffs)
+    points, grid = _resolve_grid(rule_or_points)
     top = coeffs.lmax + 1
-    if route == "fast-scalar":
-        values = _adjoint_fast_values(merged, top, grid)
-    elif route == "nufft":
-        values = _adjoint_nufft_values(merged, top, points)
-    else:
-        values = _adjoint_direct_values(merged, top, points)
+    route = _pick_path(path, grid, top, points.shape[0])
+    values = _adjoint_values(route, build_adjoint_coupling(coeffs), top, points, grid)
     return TangentFieldSamples._at_checked_points(points, values)
 
 

@@ -96,19 +96,6 @@ def _families_from_table(l: int, m, table: np.ndarray, lmax: int) -> tuple[np.nd
     return _spin_to_cartesian(b_plus, b_zero, b_minus), _spin_to_cartesian(d_plus, d_zero, d_minus)
 
 
-def eval_bd(l: int, m: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The six spin-component coefficient functions at the given points.
-
-    Returns (B+1, B0, B-1, D+1, D0, D-1), each complex over the points.
-    """
-    if l < 1 or abs(m) > l:
-        raise ValueError(f"need l >= 1 and |m| <= l, got (l, m) = ({l}, {m})")
-    single = np.asarray(points).ndim == 1
-    pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    parts = _bd_from_table(l, m, ylm_table(l + 1, pts), l + 1)
-    return tuple(p[0] if single else p for p in parts)
-
-
 def eval_vsh(l: int, m: int, points: np.ndarray) -> VshValue:
     """Evaluate both tangent harmonics of index (l, m) at the given points."""
     if l < 1 or abs(m) > l:

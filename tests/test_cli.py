@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import favest.scalar
 from favest.cli import main
 from favest.core import (
     ScalarCoefficients,
@@ -223,6 +224,27 @@ class TestAdjoint:
         back = read_samples(out)
         want = eval_vsh(1, 0, rule.points).div
         np.testing.assert_allclose(back.values, want, atol=1e-12)
+
+    def test_gl_rule_file_takes_the_fft_path(self, tmp_path, monkeypatch):
+        # The grid rebuilt from a gen-gl file reaches the transform.
+        routes = []
+        for route in ("direct", "nufft", "fast"):
+            name = f"_adjoint_{route}_values"
+
+            def record(*args, _fn=getattr(favest.scalar, name), _route=route):
+                routes.append(_route)
+                return _fn(*args)
+
+            monkeypatch.setattr(favest.scalar, name, record)
+        coeffs_path = tmp_path / "zero.json"
+        write_coefficients(coeffs_path, VectorCoefficients(
+            ScalarCoefficients.zeros(3), ScalarCoefficients.zeros(3)
+        ))
+        rule_path = _write_gl(tmp_path, 8)
+        out = tmp_path / "field.csv"
+        assert main(["adj", "--coeffs", str(coeffs_path), "--points", str(rule_path),
+                     "--out", str(out)]) == 0
+        assert routes == ["fast"]
 
 
 class TestTables:

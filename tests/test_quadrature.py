@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import favest.legendre
-import favest.quadrature
 import favest.scalar
 from favest.core import FOUR_PI, QuadratureRule
 from favest.legendre import ylm_table
@@ -92,11 +91,11 @@ def test_verify_takes_the_scalar_route_auto_would(monkeypatch):
     for route in ("nufft", "direct"):
         name = f"_forward_{route}_values"
 
-        def record(*args, _fn=getattr(favest.quadrature, name), _route=route):
+        def record(*args, _fn=getattr(favest.scalar, name), _route=route):
             calls.append(_route)
             return _fn(*args)
 
-        monkeypatch.setattr(favest.quadrature, name, record)
+        monkeypatch.setattr(favest.scalar, name, record)
     rng = np.random.default_rng(53)
     top, most = favest.scalar._NUFFT_MIN_DEGREE, favest.scalar._NUFFT_MIN_POINTS
     for t, n, route in ((top, most, "nufft"), (top - 1, most, "direct"), (top, most - 1, "direct")):

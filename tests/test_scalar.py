@@ -333,9 +333,9 @@ def test_nufft_stencil_batches_match_one_batch(monkeypatch):
 def test_nufft_factors_are_the_dense_factors_separated():
     for lmax in (0, 5, 40):
         width = favest.scalar._NUFFT_WIDTH
-        _, _, _, theta_factors, phi_factors = _nufft_setup(lmax, width)
-        # The (2 lmax + 1)**2 table the factors once were.
-        n = 2 * lmax + 2
+        grid, _, _, theta_factors, phi_factors = _nufft_setup(lmax, width)
+        # The (2 lmax + 1)**2 table the factors once were, on the auxiliary grid's n.
+        n = grid.n_phi
         freqs = np.r_[0 : lmax + 1, -lmax:0]
         z, wz = np.polynomial.legendre.leggauss(4 * width)
         kernel = np.exp(2.3 * width * (np.sqrt(1.0 - z * z) - 1.0))

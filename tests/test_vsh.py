@@ -15,7 +15,7 @@ from favest.core import (
 from favest.coupling import cg_explicit, clebsch_gordan, coupling_weight_c, coupling_weight_d
 from favest.legendre import eval_ylm, ylm_table
 from favest.quadrature import gen_gl_tensor
-from favest.vsh import adjoint_vsht_direct, eval_bd, eval_vsh, forward_vsht_direct
+from favest.vsh import _bd_from_table, adjoint_vsht_direct, eval_vsh, forward_vsht_direct
 
 from favest.core import TangentFieldSamples
 
@@ -25,10 +25,16 @@ def _random_points(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def eval_bd(l, m, points):
+    """(B+1, B0, B-1, D+1, D0, D-1) of harmonic (l, m), each complex over the points."""
+    single = np.asarray(points).ndim == 1
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    parts = _bd_from_table(l, m, ylm_table(l + 1, pts), l + 1)
+    return tuple(p[0] if single else p for p in parts)
+
+
 def test_degree_zero_is_rejected():
     p = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        eval_bd(0, 0, p)
     with pytest.raises(ValueError):
         eval_vsh(0, 0, p)
     with pytest.raises(ValueError):
