@@ -63,8 +63,8 @@ def degrees_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, ms
 
 
-def check_unit(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate that points lie on the unit sphere; returns them as float64.
+def check_unit(points: np.ndarray) -> np.ndarray:
+    """Validate that points lie on the unit sphere to 1e-9; returns them as float64.
 
     Accepts a single point of shape (3,) or a batch of shape (N, 3).
     Non-finite points are rejected too.
@@ -74,8 +74,8 @@ def check_unit(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"points must have trailing dimension 3, got shape {pts.shape}")
     norms = np.sqrt(np.sum(pts * pts, axis=-1))
     err = np.max(np.abs(norms - 1.0)) if norms.size else 0.0
-    if not err <= tol:  # also rejects NaN
-        raise ValueError(f"points deviate from the unit sphere by {err:.3e} (tol {tol:.1e})")
+    if not err <= 1e-9:  # also rejects NaN
+        raise ValueError(f"points deviate from the unit sphere by {err:.3e} (tol 1.0e-09)")
     return pts
 
 
@@ -208,19 +208,20 @@ class TangentFieldSamples:
             return 0.0
         return float(np.max(np.abs(np.sum(self.values * self.points, axis=1))))
 
-    def is_tangent(self, tol: float = 1e-8) -> bool:
+    def is_tangent(self) -> bool:
         scale = 1.0 + (float(np.max(np.abs(self.values))) if len(self) else 0.0)
-        return self.max_normal_component() <= tol * scale
+        return self.max_normal_component() <= 1e-8 * scale
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureRule:
     """Points and weights of a quadrature rule on the unit sphere.
 
     ``exactness`` is the polynomial degree the rule claims to integrate
     exactly; certification against that claim is a separate operation.
     ``grid`` carries the iso-latitude tensor structure when the rule has
-    one, which is what enables the fast transform path.
+    one, which is what enables the fast transform path.  Frozen, with read-only
+    copies of ``points`` and ``weights``: the transforms trust the checks made here.
     """
 
     points: np.ndarray
@@ -230,13 +231,16 @@ class QuadratureRule:
     grid: "TensorGrid | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.points = check_unit(np.atleast_2d(np.asarray(self.points, dtype=np.float64)))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=np.float64))
-        if w.shape != (self.points.shape[0],):
+        pts = check_unit(np.atleast_2d(np.array(self.points, dtype=np.float64)))
+        w = np.atleast_1d(np.array(self.weights, dtype=np.float64))
+        if w.shape != (pts.shape[0],):
             raise ValueError(
-                f"weights shape {w.shape} does not match {self.points.shape[0]} points"
+                f"weights shape {w.shape} does not match {pts.shape[0]} points"
             )
-        self.weights = w
+        pts.flags.writeable = False
+        w.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", w)
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
         if self.exactness < 0:

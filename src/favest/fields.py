@@ -123,12 +123,12 @@ def _frame(theta: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _angular_derivatives(
-    fn: SurfaceScalar, theta: np.ndarray, phi: np.ndarray, step: float
+    fn: SurfaceScalar, theta: np.ndarray, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     if fn.gradient is not None:
         return fn.gradient(theta, phi)
-    d_theta = (fn(theta + step, phi) - fn(theta - step, phi)) / (2.0 * step)
-    d_phi = (fn(theta, phi + step) - fn(theta, phi - step)) / (2.0 * step)
+    d_theta = (fn(theta + _FD_STEP, phi) - fn(theta - _FD_STEP, phi)) / (2.0 * _FD_STEP)
+    d_phi = (fn(theta, phi + _FD_STEP) - fn(theta, phi - _FD_STEP)) / (2.0 * _FD_STEP)
     return d_theta, d_phi
 
 
@@ -143,22 +143,22 @@ def _angles_checked(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return pts, theta, phi
 
 
-def surface_gradient(fn: SurfaceScalar, points: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
+def surface_gradient(fn: SurfaceScalar, points: np.ndarray) -> np.ndarray:
     """Tangent vector field grad_* fn at the given points, shape (N, 3)."""
     _, theta, phi = _angles_checked(points)
-    d_theta, d_phi = _angular_derivatives(fn, theta, phi, step)
+    d_theta, d_phi = _angular_derivatives(fn, theta, phi)
     theta_hat, phi_hat = _frame(theta, phi)
     return theta_hat * d_theta[:, None] + phi_hat * (d_phi / np.sin(theta))[:, None]
 
 
-def surface_curl(fn: SurfaceScalar, points: np.ndarray, step: float = _FD_STEP) -> np.ndarray:
+def surface_curl(fn: SurfaceScalar, points: np.ndarray) -> np.ndarray:
     """Rotated gradient L fn = x cross grad_* fn, shape (N, 3).
 
     Uses x cross theta_hat = phi_hat and x cross phi_hat = -theta_hat, so
     no cross products are formed numerically.
     """
     _, theta, phi = _angles_checked(points)
-    d_theta, d_phi = _angular_derivatives(fn, theta, phi, step)
+    d_theta, d_phi = _angular_derivatives(fn, theta, phi)
     theta_hat, phi_hat = _frame(theta, phi)
     return phi_hat * d_theta[:, None] - theta_hat * (d_phi / np.sin(theta))[:, None]
 

@@ -39,8 +39,8 @@ def write_rule_file(path, rule: QuadratureRule) -> None:
             fh.write(" ".join(format_float(v) for v in (*p, w)) + "\n")
 
 
-def read_rule_file(path, exactness: int, kind: str | None = None) -> QuadratureRule:
-    """Read "x y z" (equal weights) or "x y z w" (explicit weights) rule files.
+def read_rule_file(path, exactness: int) -> QuadratureRule:
+    """Read "x y z" (equal weights, "spherical-design") or "x y z w" ("custom") rule files.
 
     The file carries no exactness metadata; the caller states the degree the
     rule is claimed to integrate. Use quadrature.verify_exactness to check it.
@@ -54,10 +54,10 @@ def read_rule_file(path, exactness: int, kind: str | None = None) -> QuadratureR
     points = _renormalize(data[:, :3], path)
     if data.shape[1] == 3:
         weights = np.full(len(points), 4.0 * np.pi / len(points))
-        kind = kind or "spherical-design"
+        kind = "spherical-design"
     else:
         weights = data[:, 3].copy()
-        kind = kind or "custom"
+        kind = "custom"
     return QuadratureRule(points, weights, exactness, kind, grid=_ring_grid(points, weights))
 
 

@@ -67,7 +67,7 @@ def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:
     if t < 0:
         raise ValueError(f"certification degree must be non-negative, got {t}")
     route = _pick_path("auto", None, t, len(rule))  # no grid: never a grid plan
-    sums = _forward_values(route, np.ones(len(rule)), rule, t)
+    sums = _forward_values(route, np.ones((len(rule), 1), dtype=np.complex128), rule, t)[:, 0]
     sums[0] -= np.sqrt(FOUR_PI)
     defect = float(np.max(np.abs(sums)))
     return defect, defect <= 1e-8

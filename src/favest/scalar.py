@@ -6,6 +6,11 @@ coefficients,
     F(l, m) = sum_k w_k f_k conj(Y(l, m, x_k)),
 
 and the adjoint evaluates the partial sum S(g; x) = sum_{l,m} g_{l,m} Y(l,m,x).
+With A the synthesis matrix, A[k, (l, m)] = Y(l, m, x_k), and W the diagonal
+of the weights, the adjoint is A g and the forward is A^H W f.  Each route
+is a pair of kernels, A and the unweighted A^H, on validated (N, c) or
+((lmax + 1)**2, c) complex columns; :func:`_forward_values` forms W f once,
+as a temporary the kernel may overwrite.
 The direct variants accept arbitrary points; the fast variants require an
 iso-latitude tensor grid and replace the longitudinal sums by FFTs, with the
 per-ring convention F_m = (2pi/n_phi) * sum_j f_j exp(-i*m*phi_j) absorbed
@@ -33,10 +38,10 @@ ring of an asymmetric grid.  For each order |m| the plan stores two
 contiguous blocks of the rows' Legendre values, l - m even and l - m odd,
 filled straight from the kernel one batch of rows at a time; that is
 about n_rows * (lmax + 1)**2 / 2 doubles, half the rings' worth on a
-symmetric grid.  After the ring FFT the weighted bins m and -m of each
-row's ring and of its mirror are gathered order-major, into their sum S
-and difference D, so each |m| is two real matmuls (the even block against
-S, the odd block against D) serving m and -m at once, and one precomputed
+symmetric grid.  After the ring FFT the bins m and -m of each row's ring
+and of its mirror are gathered order-major, into their sum S and
+difference D, so each |m| is two real matmuls (the even block against S,
+the odd block against D) serving m and -m at once, and one precomputed
 gather puts the result in flat order.  The adjoint is the exact
 transpose: a row's ring receives the even plus the odd degrees, its
 mirror the even minus the odd.  A transform needs O(N) working memory
@@ -48,18 +53,19 @@ Keiner, Kunis & Potts ("Using NFFT 3", ACM TOMS 36(4), 2009).  Extended to
 colatitudes in [0, 2pi) by f(2pi - theta, phi) = f(theta, phi + pi), the
 partial sum is a 2-D trigonometric polynomial of degree lmax in theta and
 phi.  The adjoint samples it with the fast path on an auxiliary grid of
-n = 2*lmax + 2 longitudes and n/2 mirrored rings (its plan holds about
-(lmax + 2)**3 / 4 doubles, cached per lmax), takes its Fourier coefficients
-with one FFT, and evaluates it at the points by a type-2 NUFFT: the
-coefficients, divided by the Fourier transform of the exponential-of-
-semicircle kernel (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput.
-41(5), 2019), are synthesized on a twice oversampled grid and interpolated
-with the kernel's 13 x 13 stencil.  The forward is the exact transpose of
-those steps, so it stays the weighted adjoint to rounding.  Both agree with
-the direct sums to about 1e-12 relative.  The stencil is built per call,
-in point batches of at most ``_STENCIL_ENTRIES`` weights, taken in order of
-colatitude so that each batch spreads into, and reads from, a band of the
-fine grid's rows instead of the whole grid.
+n = max(2*lmax + 2, 26) longitudes and n/2 mirrored rings (its plan holds
+about (lmax + 2)**3 / 4 doubles, cached per lmax), takes its Fourier
+coefficients with one FFT, and evaluates it at the points by a type-2
+NUFFT: the coefficients, divided by the Fourier transform of the
+exponential-of-semicircle kernel (Barnett, Magland & af Klinteberg, SIAM
+J. Sci. Comput. 41(5), 2019), are synthesized on a twice oversampled grid
+whose rows start at theta = -pi/2, and interpolated with the kernel's
+13 x 13 stencil, which never wraps in theta.  The forward is the exact
+transpose of those steps.  Both agree with the direct sums to about 1e-12
+relative.  The stencil is built per call, in point batches of at most
+``_STENCIL_ENTRIES`` kernel values, taken in order of colatitude so that
+each batch spreads into, and reads from, a band of the fine grid's rows
+instead of the whole grid.
 
 The route of a scalar transform is decided in this module alone:
 :func:`_pick_path` names it and :func:`_forward_values` or
@@ -136,20 +142,20 @@ class TensorGrid:
         phi = np.tile(self.phis, self.n_theta)
         return from_spherical(theta, phi)
 
-    def to_rule(self, exactness: int, kind: str = "gl-tensor") -> QuadratureRule:
+    def to_rule(self, exactness: int) -> QuadratureRule:
         """Flatten into a point/weight rule that remembers its grid."""
         return QuadratureRule(
             points=self.points(),
             weights=np.repeat(self.ring_weights, self.n_phi),
             exactness=exactness,
-            kind=kind,
+            kind="gl-tensor",
             grid=self,
         )
 
 
 def _check_samples(f: np.ndarray, n: int) -> np.ndarray:
     vals = np.asarray(f, dtype=np.complex128)
-    if vals.shape[0] != n or vals.ndim not in (1, 2):
+    if vals.shape != (n,):
         raise ValueError(f"sample array of shape {vals.shape} does not match {n} points")
     return vals
 
@@ -168,22 +174,19 @@ def _order_rows(lmax: int) -> tuple[np.ndarray, ...]:
     return ms, ls, ls * ls + ls + ms, msn, lsn, lsn * lsn + lsn - msn, signs
 
 
-def _forward_direct_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.ndarray:
-    """Accumulate sum_k w_k f_k conj(Y) in point chunks; f may be (N,) or (N, c)."""
-    vals = _check_samples(f, len(rule))
-    wf = rule.weights[:, None] * np.atleast_2d(vals.T).T
-    pts = check_unit(rule.points)
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    c = wf.shape[1]
+def _forward_direct_values(f: np.ndarray, points: np.ndarray, lmax: int) -> np.ndarray:
+    """Unweighted sums sum_k f_k conj(Y(l, m, x_k)) of the (N, c) columns f, in point chunks."""
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    c = f.shape[1]
     # Complex columns are viewed as pairs of real ones, points last, so each
     # order is one real matmul of its Legendre block against the rows
-    # [cos(m phi) wf, sin(m phi) wf], built per order to stay in cache.
-    wf_rows = np.ascontiguousarray(wf.view(np.float64).T)
+    # [cos(m phi) f, sin(m phi) f], built per order to stay in cache.
+    f_rows = np.ascontiguousarray(f.view(np.float64).T)
     acc = np.zeros((lmax + 1, lmax + 1, 2 * c), dtype=np.complex128)
-    for chunk in _point_chunks(len(rule), lmax):
-        q = _legendre_by_order(lmax, pts[chunk, 2])
+    for chunk in _point_chunks(points.shape[0], lmax):
+        q = _legendre_by_order(lmax, points[chunk, 2])
         phase = _order_phases(lmax, phi[chunk])
-        part = wf_rows[:, chunk]
+        part = f_rows[:, chunk]
         cols = np.empty((2, 2 * c, q.shape[2]), dtype=np.float64)
         for m in range(lmax + 1):
             np.multiply(phase[m].real, part, out=cols[0])
@@ -195,25 +198,26 @@ def _forward_direct_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np
     out = np.empty((flat_size(lmax), c), dtype=np.complex128)
     out[rows] = acc[ms, ls, :c] - 1j * acc[ms, ls, c:]
     out[rows_neg] = signs * (acc[msn, lsn, :c] + 1j * acc[msn, lsn, c:])
-    return out if vals.ndim == 2 else out[:, 0]
+    return out
 
 
 def forward_sht_direct(f: np.ndarray, rule: QuadratureRule, lmax: int) -> ScalarCoefficients:
-    """Forward scalar transform by direct summation over arbitrary points."""
+    """Forward scalar transform of the N samples f by direct summation over arbitrary points."""
     if lmax < 0:
         raise ValueError(f"lmax must be non-negative, got {lmax}")
-    return ScalarCoefficients(lmax, _forward_direct_values(f, rule, lmax))
+    wf = rule.weights * _check_samples(f, len(rule))
+    return ScalarCoefficients(lmax, _forward_direct_values(wf[:, None], rule.points, lmax)[:, 0])
 
 
 def adjoint_sht_direct(coeffs: ScalarCoefficients, points: np.ndarray) -> np.ndarray:
     """Evaluate the harmonic partial sum at arbitrary points."""
-    return _adjoint_direct_values(coeffs.values[:, None], coeffs.lmax, points)[:, 0]
+    pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+    return _adjoint_direct_values(coeffs.values[:, None], coeffs.lmax, pts)[:, 0]
 
 
 def _adjoint_direct_values(values: np.ndarray, lmax: int, points: np.ndarray) -> np.ndarray:
-    """Adjoint sum for a stack of coefficient columns; values is (size, c)."""
-    pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    """Adjoint sums of the (size, c) coefficient columns at the (N, 3) unit points."""
+    phi = np.arctan2(points[:, 1], points[:, 0])
     c = values.shape[1]
     # With g+ = g(l, m) and g- = (-1)**m g(l, -m), both weighing Pbar(l, m):
     # g+ exp(i m phi) + g- exp(-i m phi) = (g+ + g-) cos(m phi) + i (g+ - g-) sin(m phi).
@@ -224,9 +228,9 @@ def _adjoint_direct_values(values: np.ndarray, lmax: int, points: np.ndarray) ->
     minus[msn, lsn] = signs * values[rows_neg]
     cols = np.concatenate([plus + minus, 1j * (plus - minus)], axis=2).view(np.float64)
     # The complex output as real pairs, points last.
-    out = np.zeros((2 * c, pts.shape[0]), dtype=np.float64)
-    for chunk in _point_chunks(pts.shape[0], lmax):
-        q = _legendre_by_order(lmax, pts[chunk, 2])
+    out = np.zeros((2 * c, points.shape[0]), dtype=np.float64)
+    for chunk in _point_chunks(points.shape[0], lmax):
+        q = _legendre_by_order(lmax, points[chunk, 2])
         phase = _order_phases(lmax, phi[chunk])
         part = out[:, chunk]
         r = np.empty((2, 2 * c, q.shape[2]), dtype=np.float64)
@@ -260,8 +264,6 @@ class _GridPlan:
 
     rings: np.ndarray  # (rows,) the ring of each row: paired rows first
     mirrors: np.ndarray  # (pairs,) the mirrored ring of each paired row
-    weights: np.ndarray  # (rows, 1) weights of the rows' rings
-    mirror_weights: np.ndarray  # (pairs, 1) weights of the mirrored rings
     even: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m even
     odd: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m odd
     starts: list[int]  # per order m: its first accumulator row
@@ -322,12 +324,9 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     slots[sources[1::2]] = np.arange(1, sources.size, 2)
     slots[sources[0::2]] = np.arange(0, sources.size, 2)  # m = 0 reads the +m slot
     orders = np.concatenate([np.arange(-l, l + 1) for l in range(lmax + 1)])
-    weights = grid.ring_weights[:, None]
     return _GridPlan(
         rings=rings,
         mirrors=south,
-        weights=weights[rings],
-        mirror_weights=weights[south],
         even=even,
         odd=odd,
         starts=np.cumsum([0] + [d.size for d in degrees[:-1]]).tolist(),
@@ -337,13 +336,13 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     )
 
 
-def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, weights: np.ndarray, lmax: int) -> np.ndarray:
-    """Order-major (lmax + 1, rings, 2, c): the weighted DFT bins m and -m of the rings."""
+def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, lmax: int) -> np.ndarray:
+    """Order-major (lmax + 1, rings, 2, c): the DFT bins m and -m of the rings."""
     n_phi, c = spectrum.shape[1:]
     part = np.empty((lmax + 1, rings.size, 2, c), dtype=np.complex128)
-    np.multiply(spectrum[rings, : lmax + 1].transpose(1, 0, 2), weights, out=part[:, :, 0])
+    part[:, :, 0] = spectrum[rings, : lmax + 1].transpose(1, 0, 2)
     negative = spectrum[rings, n_phi - 1 : n_phi - 1 - lmax : -1]  # bins -1, ..., -lmax
-    np.multiply(negative.transpose(1, 0, 2), weights, out=part[1:, :, 1])
+    part[1:, :, 1] = negative.transpose(1, 0, 2)
     part[0, :, 1] = part[0, :, 0]  # order 0 has one bin; its unused -m half stays defined
     return part
 
@@ -357,15 +356,14 @@ def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, l
 
 
 def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
+    """Unweighted sums of the grid's (size, c) columns f; the ring FFT overwrites f."""
     from scipy import fft  # deferred, like scipy.sparse in _stencil
 
-    vals = _check_samples(f, len(grid))
     plan = _plan(grid, lmax)
-    stacked = np.atleast_2d(vals.T).T.reshape(grid.n_theta, grid.n_phi, -1)
-    spectrum = fft.fft(stacked, axis=1)  # ring DFT: sum_j f_j exp(-2pi i j m / n_phi)
-    total = _gather_orders(spectrum, plan.rings, plan.weights, lmax)
-    mirror = _gather_orders(spectrum, plan.mirrors, plan.mirror_weights, lmax)
-    del spectrum
+    # Ring DFT, sum_j f_j exp(-2pi i j m / n_phi), in f's memory.
+    spectrum = fft.fft(f.reshape(grid.n_theta, grid.n_phi, -1), axis=1, overwrite_x=True)
+    total = _gather_orders(spectrum, plan.rings, lmax)
+    mirror = _gather_orders(spectrum, plan.mirrors, lmax)
     # Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t): the even degrees read
     # ring + mirror, the odd ones ring - mirror.
     pairs, c = mirror.shape[1], mirror.shape[3]
@@ -384,11 +382,11 @@ def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarr
         np.matmul(odd.T, diff[m], out=acc[mid : mid + odd.shape[1]])
     out = np.take(acc.view(np.complex128).reshape(-1, c), plan.slots, axis=0)
     out *= plan.signs[:, None]
-    return out if vals.ndim == 2 else out[:, 0]
+    return out
 
 
 def forward_sht_fast(f: np.ndarray, grid: TensorGrid, lmax: int) -> ScalarCoefficients:
-    """Forward scalar transform on a tensor grid via per-ring FFTs.
+    """Forward scalar transform of the grid's samples f via per-ring FFTs.
 
     Requires ``grid.n_phi >= 2*lmax + 1`` so that no retained order falls
     on an aliased DFT bin.  Matches :func:`forward_sht_direct` on the
@@ -396,7 +394,8 @@ def forward_sht_fast(f: np.ndarray, grid: TensorGrid, lmax: int) -> ScalarCoeffi
     """
     if lmax < 0:
         raise ValueError(f"lmax must be non-negative, got {lmax}")
-    return ScalarCoefficients(lmax, _forward_fast_values(f, grid, lmax))
+    wf = np.repeat(grid.ring_weights, grid.n_phi) * _check_samples(f, len(grid))
+    return ScalarCoefficients(lmax, _forward_fast_values(wf[:, None], grid, lmax)[:, 0])
 
 
 def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
@@ -435,7 +434,7 @@ def adjoint_sht_fast(coeffs: ScalarCoefficients, grid: TensorGrid) -> np.ndarray
 
 #: Width, in fine-grid points per axis, of the NUFFT's spreading kernel.
 _NUFFT_WIDTH = 13
-#: Most kernel weights one stencil block may hold; bounds working memory.
+#: Most kernel values one stencil block may hold; bounds working memory.
 _STENCIL_ENTRIES = 1 << 18
 #: A scalar transform on points without a usable grid takes the NUFFT from
 #: this degree and this many points on, where it measured faster than the
@@ -472,12 +471,13 @@ def _pick_path(path: str, grid: TensorGrid | None, degree: int, n_points: int) -
 
 
 def _forward_values(route: str, f: np.ndarray, rule: QuadratureRule, degree: int) -> np.ndarray:
-    """Forward sums of f on the rule, to ``degree``, by the named route."""
+    """A^H W f by the named route, for (N, c) complex f; the kernel may overwrite W f."""
+    wf = rule.weights[:, None] * f
     if route == "fast-scalar":
-        return _forward_fast_values(f, rule.grid, degree)
+        return _forward_fast_values(wf, rule.grid, degree)
     if route == "nufft":
-        return _forward_nufft_values(f, rule, degree)
-    return _forward_direct_values(f, rule, degree)
+        return _forward_nufft_values(wf, rule.points, degree)
+    return _forward_direct_values(wf, rule.points, degree)
 
 
 def _adjoint_values(
@@ -500,27 +500,28 @@ def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
 def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.ndarray, np.ndarray]:
     """The auxiliary grid, where its kept frequencies sit, and their factors.
 
-    The grid has n = 2*lmax + 2 longitudes and the n/2 rings
-    theta_j = pi * (2j + 1) / n with unit weights, so that with its
-    reflection theta -> 2pi - theta it is the equispaced n x n torus grid
-    offset by half a step in theta.  The frequencies -lmax..lmax of each
-    axis sit at ``coarse`` in the n x n spectrum and at ``fine`` in the
-    spectrum of the 2n x 2n fine grid.  The separable factors
-    ``theta_factors[k1] * phi_factors[k2]`` turn the unscaled DFT of the
-    torus samples into fine-grid coefficients: they divide by n**2, remove
-    the half-step offset with exp(-i*k1*pi/n) and divide by the kernel's
-    Fourier transform p(k1) * p(k2), where
+    The grid has n = max(2*lmax + 2, 2*width) longitudes and the n/2 rings
+    theta_j = pi * (2j + 1) / n, so that with its reflection
+    theta -> 2pi - theta it is the equispaced n x n torus grid offset by
+    half a step in theta.  The frequencies -lmax..lmax of each axis sit at
+    ``coarse`` in the n x n spectrum and at ``fine`` in the spectrum of the
+    2n x 2n fine grid, whose rows start at theta = -pi/2.  The separable
+    factors ``theta_factors[k1] * phi_factors[k2]`` turn the unscaled DFT
+    of the torus samples into fine-grid coefficients: they divide by n**2,
+    remove the half-step offset and move the first row to -pi/2 with
+    exp(-i*pi*k1*(1/n + 1/2)), and divide by the kernel's Fourier
+    transform p(k1) * p(k2), where
 
         p(k) = (w/2) * int_{-1}^{1} kernel(z) cos(k * w * pi * z / (2n)) dz
 
     is evaluated by Gauss-Legendre quadrature.
     """
-    n = 2 * lmax + 2
+    n = max(2 * lmax + 2, 2 * width)
     grid = TensorGrid(np.pi * (2 * np.arange(n // 2) + 1) / n, np.ones(n // 2), n)
     freqs = np.r_[0 : lmax + 1, -lmax:0]
     z, wz = np.polynomial.legendre.leggauss(4 * width)
     p = 0.5 * width * (np.cos(np.outer(freqs, z) * (width * np.pi / (2 * n))) @ (wz * _es_kernel(z, width)))
-    theta_factors = (np.exp(-1j * np.pi * freqs / n) / (n * n * p))[:, None, None]
+    theta_factors = (np.exp(-1j * np.pi * freqs * (1.0 / n + 0.5)) / (n * n * p))[:, None, None]
     phi_factors = (1.0 / p)[:, None]
     for factors in (theta_factors, phi_factors):
         factors.flags.writeable = False
@@ -530,15 +531,14 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.nd
 
 
 def _stencil(theta: np.ndarray, phi: np.ndarray, n_fine: int, width: int):
-    """Kernel weights from the points to the band of fine-grid rows they touch.
+    """Kernel values from the points to the band of fine-grid rows they touch.
 
-    Returns (block, segments).  Row k of the CSR ``block`` holds the width
-    x width tensor-product kernel weights of point (theta[k], phi[k]) at
-    its nearest nodes of the n_fine x n_fine grid of spacing 2pi/n_fine;
-    its columns are ring-major over the band's rows, wrapped in phi.  The
-    (band rows, grid rows) slice pairs of ``segments`` place band row j at
-    grid row (first + j) mod n_fine; the first row is negative near the
-    north pole.
+    ``theta`` is measured from the fine grid's first row, the grid has
+    spacing 2pi/n_fine in both angles, and every point's width nearest rows
+    lie inside its n_fine rows.  Returns (block, rows).  Row k of the CSR
+    ``block`` holds the width x width tensor-product kernel values of
+    point (theta[k], phi[k]) at its nearest nodes; its columns are
+    ring-major over the grid rows of the slice ``rows``, wrapped in phi.
     """
     from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
 
@@ -548,35 +548,31 @@ def _stencil(theta: np.ndarray, phi: np.ndarray, n_fine: int, width: int):
         s = x * (n_fine / (2.0 * np.pi))
         start = np.ceil(s - 0.5 * width)
         # The width nodes within width/2 grid steps of the point.
-        weights = _es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width)
+        kernel = _es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width)
         # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
-        axes.append((start.astype(np.int32)[:, None] + offsets.astype(np.int32), weights))
+        axes.append((start.astype(np.int32)[:, None] + offsets.astype(np.int32), kernel))
     (rows, wt), (cols, wp) = axes
-    first = int(rows[:, 0].min())
-    height = int(rows[:, -1].max()) + 1 - first
+    first, stop = int(rows[:, 0].min()), int(rows[:, -1].max()) + 1
     indices = ((rows - first)[:, :, None] * n_fine + (cols % n_fine)[:, None, :]).reshape(-1)
     data = (wt[:, :, None] * wp[:, None, :]).reshape(-1)
     indptr = np.arange(0, data.size + 1, width * width, dtype=np.int32)
-    segments = []
-    j = 0
-    while j < height:
-        row = (first + j) % n_fine
-        k = min(height - j, n_fine - row)
-        segments.append((slice(j, j + k), slice(row, row + k)))
-        j += k
-    return csr_array((data, indices, indptr), shape=(theta.size, height * n_fine)), segments
+    block = csr_array((data, indices, indptr), shape=(theta.size, (stop - first) * n_fine))
+    return block, slice(first, stop)
 
 
 def _stencil_bands(points: np.ndarray, n_fine: int, width: int):
     """Point batches in colatitude order, each with its :func:`_stencil`.
 
-    Yields (idx, block, segments) per batch of at most ``_STENCIL_ENTRIES``
-    kernel weights.  Sorted by colatitude, the batches' bands split the
-    n_fine/2 + width rows that points reach, so spreading adds into a band
-    instead of a whole fine grid.
+    Yields (idx, block, rows) per batch of at most ``_STENCIL_ENTRIES``
+    kernel values.  Colatitude theta sits at fine-grid row
+    (theta + pi/2) * n_fine / (2pi), in [n_fine/4, 3*n_fine/4], so with
+    n_fine >= 4*width no stencil leaves the grid.  Sorted by colatitude,
+    the batches' bands split the n_fine/2 + width rows that points reach,
+    so spreading adds into a band instead of a whole fine grid.
     """
     theta, phi = _sphere_angles(points)
     order = np.argsort(theta)
+    theta += 0.5 * np.pi
     for batch in _batches(order.size, width * width, _STENCIL_ENTRIES):
         idx = order[batch]
         yield (idx, *_stencil(theta[idx], phi[idx], n_fine, width))
@@ -598,7 +594,6 @@ def _adjoint_nufft_values(values: np.ndarray, lmax: int, points: np.ndarray) -> 
     """
     from scipy import fft
 
-    pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     width = _NUFFT_WIDTH
     grid, coarse, fine_at, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, values.shape[1]
@@ -610,37 +605,31 @@ def _adjoint_nufft_values(values: np.ndarray, lmax: int, points: np.ndarray) -> 
     del half, torus, spectrum  # free them before the fine grid is read
     # The fine-grid values as real pairs: one row of 2n nodes per fine ring.
     nodes = fft.ifft2(fine, axes=(0, 1), norm="forward", overwrite_x=True).view(np.float64)
-    out = np.empty((pts.shape[0], 2 * c), dtype=np.float64)
-    for idx, block, segments in _stencil_bands(pts, 2 * n, width):
-        band = np.concatenate([nodes[rows] for _, rows in segments])
-        out[idx] = block @ band.reshape(-1, 2 * c)
-        del block, band  # free them before the next batch builds its own
+    out = np.empty((points.shape[0], 2 * c), dtype=np.float64)
+    for idx, block, rows in _stencil_bands(points, 2 * n, width):
+        out[idx] = block @ nodes[rows].reshape(-1, 2 * c)
+        del block  # free it before the next batch builds its own
     return out.view(np.complex128)
 
 
-def _forward_nufft_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.ndarray:
-    """Forward sums at arbitrary points: the exact transpose of the NUFFT adjoint.
+def _forward_nufft_values(f: np.ndarray, points: np.ndarray, lmax: int) -> np.ndarray:
+    """Unweighted sums of the (N, c) columns f at arbitrary points: the NUFFT adjoint's transpose.
 
-    Spreads the weighted samples onto the fine grid (type-1 NUFFT), one
-    colatitude band at a time, crops and scales its spectrum with the
-    conjugate factors, folds the reflected half of the torus back, and
-    analyses on the auxiliary grid.
+    Spreads the samples onto the fine grid (type-1 NUFFT), one colatitude
+    band at a time, crops and scales its spectrum with the conjugate
+    factors, folds the reflected half of the torus back, and analyses on
+    the auxiliary grid.
     """
     from scipy import fft
 
-    vals = _check_samples(f, len(rule))
-    wf = rule.weights[:, None] * np.atleast_2d(vals.T).T
-    pts = check_unit(rule.points)
     width = _NUFFT_WIDTH
     grid, coarse, fine_at, theta_factors, phi_factors = _nufft_setup(lmax, width)
-    n, c = grid.n_phi, wf.shape[1]
-    rows = wf.view(np.float64)
+    n, c = grid.n_phi, f.shape[1]
+    pairs = f.view(np.float64)
     nodes = np.zeros((2 * n, 2 * n, 2 * c), dtype=np.float64)
-    for idx, block, segments in _stencil_bands(pts, 2 * n, width):
-        band = (block.T @ rows[idx]).reshape(-1, 2 * n, 2 * c)
-        for part, grid_rows in segments:
-            nodes[grid_rows] += band[part]
-        del block, band  # free them before the next batch builds its own
+    for idx, block, rows in _stencil_bands(points, 2 * n, width):
+        nodes[rows] += (block.T @ pairs[idx]).reshape(-1, 2 * n, 2 * c)
+        del block  # free it before the next batch builds its own
     fine = fft.fft2(nodes.view(np.complex128), axes=(0, 1), overwrite_x=True)
     kept = fine[fine_at]
     del nodes, fine  # free the fine grid before the auxiliary analysis
@@ -650,5 +639,4 @@ def _forward_nufft_values(f: np.ndarray, rule: QuadratureRule, lmax: int) -> np.
     spectrum[coarse] = kept
     torus = fft.ifft2(spectrum, axes=(0, 1), norm="forward", overwrite_x=True)
     half = torus[: n // 2] + np.roll(torus[n // 2 :][::-1], n // 2, axis=1)
-    out = _forward_fast_values(half.reshape(-1, c), grid, lmax)
-    return out if vals.ndim == 2 else out[:, 0]
+    return _forward_fast_values(half.reshape(-1, c), grid, lmax)

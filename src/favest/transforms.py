@@ -19,6 +19,10 @@ Each scalar transform runs on one of three routes:
   FFT, O(L^3 + M) on M points and accurate to about 1e-12 relative;
 * "direct-scalar": direct sums over any points, O(M L^2).
 
+On every route the scalar forward is A^H W, the adjoint A^H of synthesis
+weighted by the diagonal W of the rule's weights: ``scalar._forward_values``
+applies W once, before the route's unweighted A^H.
+
 The route is decided in ``scalar.py`` (``scalar._pick_path``), which also
 runs it.  ``path="auto"`` takes the fast path whenever the rule carries a
 tensor grid with enough longitudes.  Otherwise it takes the NUFFT from
@@ -135,14 +139,12 @@ class RoundtripResult(NamedTuple):
     max_abs: float
 
 
-def roundtrip(
-    samples: TangentFieldSamples, rule: QuadratureRule, lmax: int, path: str = "auto"
-) -> RoundtripResult:
-    """Forward then adjoint at the same points, with error metrics."""
+def roundtrip(samples: TangentFieldSamples, rule: QuadratureRule, lmax: int) -> RoundtripResult:
+    """Forward then adjoint at the same points, on the "auto" route, with error metrics."""
     from .diagnostics import error_metrics
 
-    coeffs = forward_favest(samples, rule, lmax, path=path)
-    recon = adjoint_favest(coeffs, rule, path=path)
+    coeffs = forward_favest(samples, rule, lmax)
+    recon = adjoint_favest(coeffs, rule)
     rel_l2, max_abs = error_metrics(samples, recon, rule.weights)
     return RoundtripResult(coeffs=coeffs, reconstruction=recon, rel_l2=rel_l2, max_abs=max_abs)
 
@@ -155,9 +157,9 @@ class RepeatErrors(NamedTuple):
 
 
 def repeat_transform_errors(
-    samples: TangentFieldSamples, rule: QuadratureRule, lmax: int, path: str = "auto"
+    samples: TangentFieldSamples, rule: QuadratureRule, lmax: int
 ) -> RepeatErrors:
-    """Apply the roundtrip projection twice and report stability errors.
+    """Apply the "auto"-route roundtrip projection twice and report stability errors.
 
     The roundtrip is a projection onto the degree-lmax tangent space when
     the rule is exact enough, so the second pass must reproduce the first
@@ -165,10 +167,10 @@ def repeat_transform_errors(
     are infinity norms of pointwise Euclidean magnitudes; the drift is the
     largest entrywise change between the two coefficient tables.
     """
-    c1 = forward_favest(samples, rule, lmax, path=path)
-    t1 = adjoint_favest(c1, rule, path=path)
-    c2 = forward_favest(t1, rule, lmax, path=path)
-    t2 = adjoint_favest(c2, rule, path=path)
+    c1 = forward_favest(samples, rule, lmax)
+    t1 = adjoint_favest(c1, rule)
+    c2 = forward_favest(t1, rule, lmax)
+    t2 = adjoint_favest(c2, rule)
 
     def inf_norm(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.max(np.sqrt(np.sum(np.abs(x - y) ** 2, axis=1))))

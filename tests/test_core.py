@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -173,6 +174,23 @@ def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(pts, np.array([FOUR_PI * 0.75, FOUR_PI * 0.25]),
                        exactness=1, kind="spherical-design")
+
+
+def test_quadrature_rule_is_frozen_with_read_only_copies():
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    w = np.full(2, FOUR_PI / 2)
+    rule = QuadratureRule(pts, w, exactness=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.weights = np.full(2, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.exactness = 3
+    for array in (rule.points, rule.weights):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    # The caller's arrays are copied, not frozen.
+    pts[0, 2] = 2.0
+    w[0] = 0.0
+    assert rule.points[0, 2] == 1.0 and rule.weights[0] == FOUR_PI / 2
 
 
 def test_quadrature_rule_rejects_grid_that_disagrees():

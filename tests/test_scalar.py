@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import favest.legendre
+from favest import VectorCoefficients, adjoint_favest
 from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, flat_size
 from favest.legendre import eval_ylm, ylm_table
 from favest.quadrature import gen_gl_tensor
@@ -132,13 +133,14 @@ def _ring_weights(rng, n_theta, n_phi):
 
 
 def _fast_against_direct(grid, lmax, seed):
-    """Relative errors of the fast forward and adjoint against the direct sums."""
+    """Relative errors of the fast forward and adjoint kernels against the direct ones."""
     rng = np.random.default_rng(seed)
-    rule = QuadratureRule(grid.points(), np.repeat(grid.ring_weights, grid.n_phi), exactness=0)
+    pts = grid.points()
     f = rng.standard_normal((len(grid), 3)) + 1j * rng.standard_normal((len(grid), 3))
     g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
-    forward = _relative(_forward_fast_values(f, grid, lmax), _forward_direct_values(f, rule, lmax))
-    adjoint = _relative(_adjoint_fast_values(g, lmax, grid), _adjoint_direct_values(g, lmax, rule.points))
+    direct = _forward_direct_values(f, pts, lmax)
+    forward = _relative(_forward_fast_values(f.copy(), grid, lmax), direct)
+    adjoint = _relative(_adjoint_fast_values(g, lmax, grid), _adjoint_direct_values(g, lmax, pts))
     return forward, adjoint
 
 
@@ -170,7 +172,6 @@ def test_rings_mirrored_only_to_1e_9_are_not_paired(perturbed):
     south_cos = -np.cos(north)
     south_cos[perturbed] += 1e-9
     thetas = np.r_[north, np.arccos(south_cos)[::-1]]
-    # Unequal weights across a pair exercise the weighted sum and difference.
     grid = TensorGrid(thetas, _ring_weights(rng, 12, 2 * lmax + 1), 2 * lmax + 1)
     assert max(_fast_against_direct(grid, lmax, 61)) <= 1e-12
     plan = _plan(grid, lmax)
@@ -229,22 +230,20 @@ def test_direct_paths_across_chunk_boundaries(monkeypatch):
     lmax, n = 9, 37
     pts = _random_points(rng, n)
     pts[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
-    w = rng.uniform(0.5, 1.5, n)
-    rule = QuadratureRule(pts, w * FOUR_PI / np.sum(w), exactness=0)
     f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
-    one_fwd = _forward_direct_values(f, rule, lmax)
+    one_fwd = _forward_direct_values(f, pts, lmax)
     one_adj = _adjoint_direct_values(g, lmax, pts)
     # At most 16, then at most 5, points per chunk.
     for per_chunk in (16, 5):
         monkeypatch.setattr(favest.legendre, "_CHUNK_ENTRIES", per_chunk * (lmax + 1) ** 2)
         assert len(favest.legendre._point_chunks(n, lmax)) == -(-n // per_chunk)
-        fwd = _forward_direct_values(f, rule, lmax)
+        fwd = _forward_direct_values(f, pts, lmax)
         adj = _adjoint_direct_values(g, lmax, pts)
         assert np.max(np.abs(fwd - one_fwd)) <= 1e-12 * np.max(np.abs(one_fwd))
         assert np.max(np.abs(adj - one_adj)) <= 1e-12 * np.max(np.abs(one_adj))
     y = ylm_table(lmax, pts)
-    ref_fwd = y.conj().T @ (rule.weights[:, None] * f)
+    ref_fwd = y.conj().T @ f
     ref_adj = y @ g
     assert np.max(np.abs(one_fwd - ref_fwd)) <= 1e-12 * np.max(np.abs(ref_fwd))
     assert np.max(np.abs(one_adj - ref_adj)) <= 1e-12 * np.max(np.abs(ref_adj))
@@ -280,33 +279,49 @@ def _relative(a, b):
 def test_nufft_matches_direct(n, lmax):
     rng = np.random.default_rng([n, lmax])
     pts = _awkward_points(rng, n)
-    w = rng.uniform(0.5, 1.5, n)
-    rule = QuadratureRule(pts, w * FOUR_PI / np.sum(w), exactness=0)
     f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
     assert _relative(_adjoint_nufft_values(g, lmax, pts), _adjoint_direct_values(g, lmax, pts)) <= 1e-11
-    forward = _forward_nufft_values(f, rule, lmax)
-    assert _relative(forward, _forward_direct_values(f, rule, lmax)) <= 1e-11
-    single = _forward_nufft_values(f[:, 1], rule, lmax)
-    assert single.shape == (flat_size(lmax),)
-    assert np.array_equal(single, _forward_nufft_values(f[:, 1:2], rule, lmax)[:, 0])
+    forward = _forward_nufft_values(f, pts, lmax)
+    assert _relative(forward, _forward_direct_values(f, pts, lmax)) <= 1e-11
+
+
+@pytest.mark.parametrize("lmax", [0, 5, 40])
+@pytest.mark.parametrize("route", ["direct", "nufft", "fast"])
+def test_each_route_is_an_adjoint_pair(route, lmax):
+    # <A^H f, g> = <f, A g>: each forward kernel is the unweighted adjoint of its adjoint kernel.
+    rng = np.random.default_rng([lmax, len(route)])
+    forward = getattr(favest.scalar, f"_forward_{route}_values")
+    adjoint = getattr(favest.scalar, f"_adjoint_{route}_values")
+    if route == "fast":
+        grid, _ = gen_gl_tensor(2 * (lmax + 1))
+        places = [(grid.points(), grid)]
+    else:
+        places = [(pts, pts) for pts in (_awkward_points(rng, n) for n in (1, 37, 2500))]
+    for pts, where in places:
+        f = rng.standard_normal((len(pts), 2)) + 1j * rng.standard_normal((len(pts), 2))
+        g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+        analysis = forward(f.copy(), where, lmax)
+        lhs = np.vdot(analysis, g)
+        rhs = np.vdot(f, adjoint(g, lmax, where))
+        bound = 1e-12 * np.linalg.norm(analysis) * np.linalg.norm(g)
+        assert abs(lhs - rhs) <= bound, (len(pts), lhs, rhs)
 
 
 def test_nufft_error_falls_as_kernel_widens(monkeypatch):
     rng = np.random.default_rng(37)
     lmax = 30
     pts = _awkward_points(rng, 400)
-    rule = QuadratureRule(pts, np.full(400, FOUR_PI / 400), exactness=0)
     g = rng.standard_normal((flat_size(lmax), 1)) + 1j * rng.standard_normal((flat_size(lmax), 1))
     f = rng.standard_normal((400, 1)) + 1j * rng.standard_normal((400, 1))
     adjoint = _adjoint_direct_values(g, lmax, pts)
-    forward = _forward_direct_values(f, rule, lmax)
+    forward = _forward_direct_values(f, pts, lmax)
     errors = []
     for width in (3, 5, 7, 9, 11, 13):
         monkeypatch.setattr(favest.scalar, "_NUFFT_WIDTH", width)
         errors.append((
             _relative(_adjoint_nufft_values(g, lmax, pts), adjoint),
-            _relative(_forward_nufft_values(f, rule, lmax), forward),
+            _relative(_forward_nufft_values(f, pts, lmax), forward),
         ))
     # About one digit per unit of width: each step of two gains at least 30x.
     for wider, narrower in zip(errors[1:], errors):
@@ -318,16 +333,15 @@ def test_nufft_stencil_batches_match_one_batch(monkeypatch):
     rng = np.random.default_rng(41)
     lmax, n = 12, 50
     pts = _awkward_points(rng, n)
-    rule = QuadratureRule(pts, np.full(n, FOUR_PI / n), exactness=0)
     f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
-    one_fwd = _forward_nufft_values(f, rule, lmax)
+    one_fwd = _forward_nufft_values(f, pts, lmax)
     one_adj = _adjoint_nufft_values(g, lmax, pts)
     width = favest.scalar._NUFFT_WIDTH
     monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 8 * width * width)
     assert len(favest.legendre._batches(n, width * width, 8 * width * width)) == 7
     assert np.array_equal(_adjoint_nufft_values(g, lmax, pts), one_adj)
-    assert _relative(_forward_nufft_values(f, rule, lmax), one_fwd) <= 1e-14
+    assert _relative(_forward_nufft_values(f, pts, lmax), one_fwd) <= 1e-14
 
 
 def test_nufft_factors_are_the_dense_factors_separated():
@@ -340,7 +354,8 @@ def test_nufft_factors_are_the_dense_factors_separated():
         z, wz = np.polynomial.legendre.leggauss(4 * width)
         kernel = np.exp(2.3 * width * (np.sqrt(1.0 - z * z) - 1.0))
         p = 0.5 * width * (np.cos(np.outer(freqs, z) * (width * np.pi / (2 * n))) @ (wz * kernel))
-        dense = (np.exp(-1j * np.pi * freqs / n) / (n * n * p))[:, None] / p[None, :]
+        # The fine grid's rows start at theta = -pi/2: a phase of pi/2 per frequency.
+        dense = (np.exp(-1j * np.pi * freqs * (1 / n + 0.5)) / (n * n * p))[:, None] / p[None, :]
         assert theta_factors.shape == (2 * lmax + 1, 1, 1) and phi_factors.shape == (2 * lmax + 1, 1)
         assert _relative((theta_factors * phi_factors)[..., 0], dense) <= 1e-15
 
@@ -351,13 +366,13 @@ def test_nufft_forward_spreads_without_a_second_fine_grid(monkeypatch):
     width = favest.scalar._NUFFT_WIDTH
     # Small stencil blocks, so that the fine grid dominates the peak.
     monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 64 * width * width)
-    rule = QuadratureRule(_awkward_points(rng, n), np.full(n, FOUR_PI / n), exactness=0)
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    _forward_nufft_values(f, rule, lmax)  # warm-up: the auxiliary grid and its plan
+    pts = _awkward_points(rng, n)
+    f = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    _forward_nufft_values(f, pts, lmax)  # warm-up: the auxiliary grid and its plan
     fine_grid = (4 * lmax + 4) ** 2 * 16  # bytes of the 2n x 2n complex fine grid
     tracemalloc.start()
     try:
-        _forward_nufft_values(f, rule, lmax)
+        _forward_nufft_values(f, pts, lmax)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,21 +393,31 @@ def test_nufft_batches_take_consecutive_colatitude_bands(monkeypatch):
     assert sum(heights) <= n_fine // 2 + 1 + len(batches) * width, heights
 
 
+def test_nufft_stencils_lie_inside_the_fine_grid():
+    rng = np.random.default_rng(79)
+    pts = _awkward_points(rng, 300)  # both poles included
+    for lmax in range(9):
+        for width in range(3, 14):
+            n_fine = 2 * _nufft_setup(lmax, width)[0].n_phi
+            for _, block, rows in favest.scalar._stencil_bands(pts, n_fine, width):
+                assert 0 <= rows.start < rows.stop <= n_fine, (lmax, width, rows)
+                assert block.shape[1] == (rows.stop - rows.start) * n_fine
+
+
 def test_nufft_adjoint_rejects_non_unit_points():
     pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.6]])
     with pytest.raises(ValueError):
-        _adjoint_nufft_values(np.zeros((flat_size(2), 1), dtype=np.complex128), 2, pts)
+        adjoint_favest(VectorCoefficients.zeros(2), pts, path="nufft")
 
 
 def test_nufft_auxiliary_grid_takes_the_paired_plan():
     rng = np.random.default_rng(67)
     lmax, n = 65, 300
     pts = _awkward_points(rng, n)
-    rule = QuadratureRule(pts, np.full(n, FOUR_PI / n), exactness=0)
     f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
     assert _relative(_adjoint_nufft_values(g, lmax, pts), _adjoint_direct_values(g, lmax, pts)) <= 1e-11
-    assert _relative(_forward_nufft_values(f, rule, lmax), _forward_direct_values(f, rule, lmax)) <= 1e-11
+    assert _relative(_forward_nufft_values(f, pts, lmax), _forward_direct_values(f, pts, lmax)) <= 1e-11
     grid = _nufft_setup(lmax, favest.scalar._NUFFT_WIDTH)[0]
     plan = _plan(grid, lmax)
     assert grid.n_theta == 66 and plan.mirrors.size == 33 and plan.rings.size == 33
