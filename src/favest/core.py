@@ -221,7 +221,8 @@ class QuadratureRule:
     exactly; certification against that claim is a separate operation.
     ``grid`` carries the iso-latitude tensor structure when the rule has
     one, which is what enables the fast transform path.  Frozen, with read-only
-    copies of ``points`` and ``weights``: the transforms trust the checks made here.
+    copies of ``points`` and ``weights``: the transforms trust the checks made here,
+    and ``_stencils`` keeps the NUFFT's point factors (see ``scalar._stencils``).
     """
 
     points: np.ndarray
@@ -229,6 +230,7 @@ class QuadratureRule:
     exactness: int
     kind: str = "custom"
     grid: "TensorGrid | None" = field(default=None, repr=False)
+    _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = check_unit(np.atleast_2d(np.array(self.points, dtype=np.float64)))

@@ -53,19 +53,29 @@ Keiner, Kunis & Potts ("Using NFFT 3", ACM TOMS 36(4), 2009).  Extended to
 colatitudes in [0, 2pi) by f(2pi - theta, phi) = f(theta, phi + pi), the
 partial sum is a 2-D trigonometric polynomial of degree lmax in theta and
 phi.  The adjoint samples it with the fast path on an auxiliary grid of
-n = max(2*lmax + 2, 26) longitudes and n/2 mirrored rings (its plan holds
-about (lmax + 2)**3 / 4 doubles, cached per lmax), takes its Fourier
+n longitudes and n/2 mirrored rings (its plan holds about
+(lmax + 2)**3 / 4 doubles, cached per lmax), takes its Fourier
 coefficients with one FFT, and evaluates it at the points by a type-2
 NUFFT: the coefficients, divided by the Fourier transform of the
 exponential-of-semicircle kernel (Barnett, Magland & af Klinteberg, SIAM
-J. Sci. Comput. 41(5), 2019), are synthesized on a twice oversampled grid
-whose rows start at theta = -pi/2, and interpolated with the kernel's
-13 x 13 stencil, which never wraps in theta.  The forward is the exact
-transpose of those steps.  Both agree with the direct sums to about 1e-12
-relative.  The stencil is built per call, in point batches of at most
-``_STENCIL_ENTRIES`` kernel values, taken in order of colatitude so that
-each batch spreads into, and reads from, a band of the fine grid's rows
-instead of the whole grid.
+J. Sci. Comput. 41(5), 2019), are synthesized on a twice oversampled
+2n x 2n grid and interpolated with the kernel's 13 x 13 stencil.  As in
+FINUFFT, n is the smallest even number of at least max(2*lmax + 2, 26)
+for which 2n is a fast FFT length, and the fine grid is pruned: of its 2n
+rows only the n + 26 that stencils reach are formed, from
+theta = -13 pi / n on, so no stencil wraps in theta, and of its
+frequencies only the (2*lmax + 1)**2 kept ones are synthesized, first in
+theta on the kept columns, then in phi on the formed rows.  The forward
+is the exact transpose of those steps.  Both agree with the direct sums
+to about 1e-12 relative.  Points are taken in batches of at most
+``_STENCIL_ENTRIES`` kernel values, in order of colatitude, so that each
+batch spreads into, and reads from, a band of the formed rows.  After
+NFFT3's precomputation, the point-dependent factors of the stencils (the
+colatitude order and batches, each stencil's node offsets and its 1-D
+kernel weights, about 270 bytes per point) are kept on the frozen
+``QuadratureRule`` per fine grid and width, so a call on a rule builds
+only the batches' index sums, outer products and CSR wrappers; raw
+point arrays, which may change between calls, build the factors per call.
 
 The route of a scalar transform is decided in this module alone:
 :func:`_pick_path` names it and :func:`_forward_values` or
@@ -83,7 +93,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size, from_spherical
+from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size
 from .legendre import _CHUNK_ENTRIES, _batches, _legendre_by_order, _order_phases, _point_chunks
 
 
@@ -137,20 +147,31 @@ class TensorGrid:
         return 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
 
     def points(self) -> np.ndarray:
-        """All grid points, ring-major, shape (n_theta * n_phi, 3)."""
-        theta = np.repeat(self.ring_thetas, self.n_phi)
-        phi = np.tile(self.phis, self.n_theta)
-        return from_spherical(theta, phi)
+        """All grid points, ring-major, shape (n_theta * n_phi, 3).
+
+        Outer products of the rings' sines and the longitudes' cosines and
+        sines: bit for bit what ``from_spherical`` gives on the repeated
+        angles, from n_theta + n_phi sines and cosines instead of 3 per point.
+        """
+        st, ct = np.sin(self.ring_thetas), np.cos(self.ring_thetas)
+        out = np.empty((self.n_theta, self.n_phi, 3))
+        np.multiply.outer(st, np.cos(self.phis), out=out[..., 0])
+        np.multiply.outer(st, np.sin(self.phis), out=out[..., 1])
+        out[..., 2] = ct[:, None]
+        return out.reshape(-1, 3)
 
     def to_rule(self, exactness: int) -> QuadratureRule:
         """Flatten into a point/weight rule that remembers its grid."""
-        return QuadratureRule(
+        rule = QuadratureRule(
             points=self.points(),
             weights=np.repeat(self.ring_weights, self.n_phi),
             exactness=exactness,
             kind="gl-tensor",
-            grid=self,
         )
+        # The points and weights are the grid's own, so the rule's check
+        # that they match its grid, which rebuilds the points, is skipped.
+        object.__setattr__(rule, "grid", self)
+        return rule
 
 
 def _check_samples(f: np.ndarray, n: int) -> np.ndarray:
@@ -476,18 +497,26 @@ def _forward_values(route: str, f: np.ndarray, rule: QuadratureRule, degree: int
     if route == "fast-scalar":
         return _forward_fast_values(wf, rule.grid, degree)
     if route == "nufft":
-        return _forward_nufft_values(wf, rule.points, degree)
+        return _forward_nufft_values(wf, rule.points, degree, rule._stencils)
     return _forward_direct_values(wf, rule.points, degree)
 
 
 def _adjoint_values(
-    route: str, values: np.ndarray, degree: int, points: np.ndarray, grid: TensorGrid | None
+    route: str,
+    values: np.ndarray,
+    degree: int,
+    points: np.ndarray,
+    grid: TensorGrid | None,
+    stencils: dict | None,
 ) -> np.ndarray:
-    """Adjoint sums of the (size, c) columns at the points, or the grid's, by the named route."""
+    """Adjoint sums of the (size, c) columns at the points, or the grid's, by the named route.
+
+    ``stencils`` is the NUFFT's cache for the points, a rule's ``_stencils``, or None.
+    """
     if route == "fast-scalar":
         return _adjoint_fast_values(values, degree, grid)
     if route == "nufft":
-        return _adjoint_nufft_values(values, degree, points)
+        return _adjoint_nufft_values(values, degree, points, stencils)
     return _adjoint_direct_values(values, degree, points)
 
 
@@ -497,85 +526,129 @@ def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, tuple, np.ndarray, np.ndarray]:
+def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, np.ndarray, np.ndarray, np.ndarray]:
     """The auxiliary grid, where its kept frequencies sit, and their factors.
 
-    The grid has n = max(2*lmax + 2, 2*width) longitudes and the n/2 rings
-    theta_j = pi * (2j + 1) / n, so that with its reflection
-    theta -> 2pi - theta it is the equispaced n x n torus grid offset by
-    half a step in theta.  The frequencies -lmax..lmax of each axis sit at
-    ``coarse`` in the n x n spectrum and at ``fine`` in the spectrum of the
-    2n x 2n fine grid, whose rows start at theta = -pi/2.  The separable
-    factors ``theta_factors[k1] * phi_factors[k2]`` turn the unscaled DFT
-    of the torus samples into fine-grid coefficients: they divide by n**2,
-    remove the half-step offset and move the first row to -pi/2 with
-    exp(-i*pi*k1*(1/n + 1/2)), and divide by the kernel's Fourier
+    The grid has n longitudes and the n/2 rings theta_j = pi * (2j + 1) / n,
+    so that with its reflection theta -> 2pi - theta it is the equispaced
+    n x n torus grid offset by half a step in theta.  n is the smallest even
+    number of at least 2*lmax + 2 and 2*width for which 2n is a fast FFT
+    length (``scipy.fft.next_fast_len``); any even n >= 2*lmax + 2 keeps the
+    frequencies -lmax..lmax.  They sit at ``coarse`` in the n x n spectrum,
+    and at ``kept`` along either axis of the spectrum of the 2n x 2n fine
+    grid.  Of the fine grid only the n + 2*width rows that stencils reach
+    are formed, the first at theta = -width * pi / n (see
+    :func:`_stencil_factors`).  The separable factors
+    ``theta_factors[k1] * phi_factors[k2]`` turn the unscaled DFT of the
+    torus samples into fine-grid coefficients: they divide by n**2, remove
+    the half-step offset and move the first row to -width * pi / n with
+    exp(-i*pi*k1*(1 + width)/n), and divide by the kernel's Fourier
     transform p(k1) * p(k2), where
 
         p(k) = (w/2) * int_{-1}^{1} kernel(z) cos(k * w * pi * z / (2n)) dz
 
     is evaluated by Gauss-Legendre quadrature.
     """
+    from scipy.fft import next_fast_len  # deferred, like scipy.sparse in _stencil
+
     n = max(2 * lmax + 2, 2 * width)
+    while next_fast_len(2 * n) != 2 * n:
+        n += 2
     grid = TensorGrid(np.pi * (2 * np.arange(n // 2) + 1) / n, np.ones(n // 2), n)
     freqs = np.r_[0 : lmax + 1, -lmax:0]
     z, wz = np.polynomial.legendre.leggauss(4 * width)
     p = 0.5 * width * (np.cos(np.outer(freqs, z) * (width * np.pi / (2 * n))) @ (wz * _es_kernel(z, width)))
-    theta_factors = (np.exp(-1j * np.pi * freqs * (1.0 / n + 0.5)) / (n * n * p))[:, None, None]
+    theta_factors = (np.exp(-1j * np.pi * freqs * (1.0 + width) / n) / (n * n * p))[:, None, None]
     phi_factors = (1.0 / p)[:, None]
-    for factors in (theta_factors, phi_factors):
+    kept = freqs % (2 * n)
+    for factors in (theta_factors, phi_factors, kept):
         factors.flags.writeable = False
-    coarse = np.ix_(freqs % n, freqs % n)
-    fine = np.ix_(freqs % (2 * n), freqs % (2 * n))
-    return grid, coarse, fine, theta_factors, phi_factors
+    return grid, np.ix_(freqs % n, freqs % n), kept, theta_factors, phi_factors
 
 
-def _stencil(theta: np.ndarray, phi: np.ndarray, n_fine: int, width: int):
-    """Kernel values from the points to the band of fine-grid rows they touch.
-
-    ``theta`` is measured from the fine grid's first row, the grid has
-    spacing 2pi/n_fine in both angles, and every point's width nearest rows
-    lie inside its n_fine rows.  Returns (block, rows).  Row k of the CSR
-    ``block`` holds the width x width tensor-product kernel values of
-    point (theta[k], phi[k]) at its nearest nodes; its columns are
-    ring-major over the grid rows of the slice ``rows``, wrapped in phi.
-    """
-    from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
-
-    offsets = np.arange(width)
-    axes = []
-    for x in (theta, phi):
-        s = x * (n_fine / (2.0 * np.pi))
-        start = np.ceil(s - 0.5 * width)
-        # The width nodes within width/2 grid steps of the point.
-        kernel = _es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width)
-        # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
-        axes.append((start.astype(np.int32)[:, None] + offsets.astype(np.int32), kernel))
-    (rows, wt), (cols, wp) = axes
-    first, stop = int(rows[:, 0].min()), int(rows[:, -1].max()) + 1
-    indices = ((rows - first)[:, :, None] * n_fine + (cols % n_fine)[:, None, :]).reshape(-1)
-    data = (wt[:, :, None] * wp[:, None, :]).reshape(-1)
-    indptr = np.arange(0, data.size + 1, width * width, dtype=np.int32)
-    block = csr_array((data, indices, indptr), shape=(theta.size, (stop - first) * n_fine))
-    return block, slice(first, stop)
+#: A point set keeps the stencil factors of this many (n_fine, width) pairs.
+_STENCIL_CACHE = 4
 
 
-def _stencil_bands(points: np.ndarray, n_fine: int, width: int):
-    """Point batches in colatitude order, each with its :func:`_stencil`.
+@dataclass(frozen=True)
+class _StencilFactors:
+    """A point set's NUFFT stencils for one (n_fine, width); see :func:`_stencil_factors`."""
 
-    Yields (idx, block, rows) per batch of at most ``_STENCIL_ENTRIES``
-    kernel values.  Colatitude theta sits at fine-grid row
-    (theta + pi/2) * n_fine / (2pi), in [n_fine/4, 3*n_fine/4], so with
-    n_fine >= 4*width no stencil leaves the grid.  Sorted by colatitude,
-    the batches' bands split the n_fine/2 + width rows that points reach,
-    so spreading adds into a band instead of a whole fine grid.
+    order: np.ndarray  # (M,) the points in colatitude order
+    batches: list[slice]  # consecutive runs of ``order``, one stencil block each
+    bands: list[slice]  # per batch: the fine-grid rows its stencils reach
+    nodes: np.ndarray  # (M, width) int32: each stencil's first-row nodes, ring-major in its band
+    theta_weights: np.ndarray  # (M, width) kernel values along theta
+    phi_weights: np.ndarray  # (M, width) kernel values along phi
+
+
+def _stencil_factors(points: np.ndarray, n_fine: int, width: int) -> _StencilFactors:
+    """Sort the points by colatitude, batch them and place their stencils.
+
+    The fine grid has spacing 2pi/n_fine in both angles, and its row 0 at
+    theta = -width * 2pi / n_fine, so colatitude theta sits at row
+    theta * n_fine / (2pi) + width, in [width, n_fine/2 + width], and every
+    stencil lies in the first n_fine/2 + 2*width rows.  Each point's width
+    nearest nodes per axis carry the 1-D kernel values; columns wrap in phi.
+    Batches hold at most ``_STENCIL_ENTRIES`` kernel values.  Sorted by
+    colatitude, their bands split the n_fine/2 + width rows that points
+    reach, so spreading adds into a band instead of a whole fine grid.
     """
     theta, phi = _sphere_angles(points)
     order = np.argsort(theta)
-    theta += 0.5 * np.pi
-    for batch in _batches(order.size, width * width, _STENCIL_ENTRIES):
-        idx = order[batch]
-        yield (idx, *_stencil(theta[idx], phi[idx], n_fine, width))
+    offsets = np.arange(width)
+    starts, weights = [], []
+    for x, shift in ((theta[order], width), (phi[order], 0)):
+        s = x * (n_fine / (2.0 * np.pi)) + shift
+        start = np.ceil(s - 0.5 * width)
+        # The width nodes within width/2 grid steps of the point.
+        weights.append(_es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width))
+        starts.append(start.astype(np.int32))
+    rows, cols = starts
+    batches = _batches(order.size, width * width, _STENCIL_ENTRIES)
+    # In colatitude order a batch's first point has its lowest row, its last the highest.
+    bands = [slice(int(rows[b.start]), int(rows[b.stop - 1]) + width) for b in batches]
+    # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
+    nodes = (cols[:, None] + offsets.astype(np.int32)) % n_fine
+    for b, band in zip(batches, bands):
+        nodes[b] += ((rows[b] - band.start) * n_fine)[:, None]
+    return _StencilFactors(order, batches, bands, nodes, *weights)
+
+
+def _stencil(factors: _StencilFactors, batch: slice, band: slice, n_fine: int, width: int):
+    """The CSR block of one batch, whose stencils reach the fine-grid rows ``band``.
+
+    Row k holds the width x width tensor-product kernel values of the
+    batch's k-th point at its nearest nodes; the columns are ring-major over
+    the band's rows.  Only the index sum, the outer product and the wrapper
+    are built here: the factors are the point set's.
+    """
+    from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
+
+    steps = np.arange(0, width * n_fine, n_fine, dtype=np.int32)[:, None]
+    indices = (factors.nodes[batch, None, :] + steps).reshape(-1)
+    data = (factors.theta_weights[batch, :, None] * factors.phi_weights[batch, None, :]).reshape(-1)
+    indptr = np.arange(0, data.size + 1, width * width, dtype=np.int32)
+    return csr_array((data, indices, indptr), shape=(indptr.size - 1, (band.stop - band.start) * n_fine))
+
+
+def _stencil_bands(points: np.ndarray, n_fine: int, width: int, stencils: dict | None = None):
+    """Point batches in colatitude order, each with its :func:`_stencil` block.
+
+    Yields (idx, block, rows) per batch.  The factors come from
+    ``stencils``, a rule's ``_stencils``, which keeps them for its last
+    ``_STENCIL_CACHE`` (n_fine, width) pairs: the rule is frozen, so they
+    cannot go stale.  Raw points, which may change between calls, pass None
+    and build them per call.
+    """
+    stencils = {} if stencils is None else stencils
+    factors = stencils.get((n_fine, width))
+    if factors is None:
+        while len(stencils) >= _STENCIL_CACHE:
+            del stencils[next(iter(stencils))]  # the oldest entry
+        factors = stencils[n_fine, width] = _stencil_factors(points, n_fine, width)
+    for batch, band in zip(factors.batches, factors.bands):
+        yield factors.order[batch], _stencil(factors, batch, band, n_fine, width), band
 
 
 def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -583,60 +656,73 @@ def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(np.clip(points[:, 2], -1.0, 1.0)), np.arctan2(points[:, 1], points[:, 0])
 
 
-def _adjoint_nufft_values(values: np.ndarray, lmax: int, points: np.ndarray) -> np.ndarray:
+def _adjoint_nufft_values(
+    values: np.ndarray, lmax: int, points: np.ndarray, stencils: dict | None = None
+) -> np.ndarray:
     """Adjoint sum at arbitrary points through the auxiliary grid and a 2-D NUFFT.
 
     The partial sum, extended to theta in [0, 2pi) by f(2pi - theta, phi) =
     f(theta, phi + pi), is a 2-D trigonometric polynomial of degree lmax in
     each variable.  Its samples on the auxiliary grid (the fast path) give
     its Fourier coefficients by one FFT; a type-2 NUFFT with the
-    exponential-of-semicircle kernel evaluates it at the points.
+    exponential-of-semicircle kernel evaluates it at the points.  The fine
+    grid is synthesized in theta on the kept columns only, then in phi on
+    the rows that stencils reach only.  ``stencils`` is the points' cache
+    of stencil factors (see :func:`_stencil_bands`).
     """
     from scipy import fft
 
     width = _NUFFT_WIDTH
-    grid, coarse, fine_at, theta_factors, phi_factors = _nufft_setup(lmax, width)
+    grid, coarse, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, values.shape[1]
+    height = n + 2 * width  # the fine-grid rows stencils reach
     half = _adjoint_fast_values(values, lmax, grid).reshape(n // 2, n, c)
     torus = np.concatenate([half, np.roll(half[::-1], n // 2, axis=1)])
     spectrum = fft.fft2(torus, axes=(0, 1), overwrite_x=True)
-    fine = np.zeros((2 * n, 2 * n, c), dtype=np.complex128)
-    fine[fine_at] = spectrum[coarse] * theta_factors * phi_factors
-    del half, torus, spectrum  # free them before the fine grid is read
+    columns = np.zeros((2 * n, kept.size, c), dtype=np.complex128)
+    columns[kept] = spectrum[coarse] * theta_factors * phi_factors
+    del half, torus, spectrum  # free them before the fine grid is formed
+    rows = np.zeros((height, 2 * n, c), dtype=np.complex128)
+    rows[:, kept] = fft.ifft(columns, axis=0, norm="forward", overwrite_x=True)[:height]
+    del columns
     # The fine-grid values as real pairs: one row of 2n nodes per fine ring.
-    nodes = fft.ifft2(fine, axes=(0, 1), norm="forward", overwrite_x=True).view(np.float64)
+    nodes = fft.ifft(rows, axis=1, norm="forward", overwrite_x=True).view(np.float64)
     out = np.empty((points.shape[0], 2 * c), dtype=np.float64)
-    for idx, block, rows in _stencil_bands(points, 2 * n, width):
-        out[idx] = block @ nodes[rows].reshape(-1, 2 * c)
+    for idx, block, band in _stencil_bands(points, 2 * n, width, stencils):
+        out[idx] = block @ nodes[band].reshape(-1, 2 * c)
         del block  # free it before the next batch builds its own
     return out.view(np.complex128)
 
 
-def _forward_nufft_values(f: np.ndarray, points: np.ndarray, lmax: int) -> np.ndarray:
+def _forward_nufft_values(
+    f: np.ndarray, points: np.ndarray, lmax: int, stencils: dict | None = None
+) -> np.ndarray:
     """Unweighted sums of the (N, c) columns f at arbitrary points: the NUFFT adjoint's transpose.
 
-    Spreads the samples onto the fine grid (type-1 NUFFT), one colatitude
-    band at a time, crops and scales its spectrum with the conjugate
-    factors, folds the reflected half of the torus back, and analyses on
-    the auxiliary grid.
+    Spreads the samples onto the fine grid's reached rows (type-1 NUFFT),
+    one colatitude band at a time, transforms them in phi, and the kept
+    columns in theta, zero-padded to the fine grid's 2n rows.  It scales
+    the kept frequencies with the conjugate factors, folds the reflected
+    half of the torus back, and analyses on the auxiliary grid.
     """
     from scipy import fft
 
     width = _NUFFT_WIDTH
-    grid, coarse, fine_at, theta_factors, phi_factors = _nufft_setup(lmax, width)
+    grid, coarse, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, f.shape[1]
     pairs = f.view(np.float64)
-    nodes = np.zeros((2 * n, 2 * n, 2 * c), dtype=np.float64)
-    for idx, block, rows in _stencil_bands(points, 2 * n, width):
-        nodes[rows] += (block.T @ pairs[idx]).reshape(-1, 2 * n, 2 * c)
+    nodes = np.zeros((n + 2 * width, 2 * n, 2 * c), dtype=np.float64)
+    for idx, block, band in _stencil_bands(points, 2 * n, width, stencils):
+        nodes[band] += (block.T @ pairs[idx]).reshape(-1, 2 * n, 2 * c)
         del block  # free it before the next batch builds its own
-    fine = fft.fft2(nodes.view(np.complex128), axes=(0, 1), overwrite_x=True)
-    kept = fine[fine_at]
-    del nodes, fine  # free the fine grid before the auxiliary analysis
-    kept *= theta_factors.conj()
-    kept *= phi_factors
+    columns = fft.fft(nodes.view(np.complex128), axis=1, overwrite_x=True)[:, kept]
+    del nodes  # free the fine grid before the theta transform
+    coeffs = fft.fft(columns, n=2 * n, axis=0, overwrite_x=True)[kept]
+    del columns
+    coeffs *= theta_factors.conj()
+    coeffs *= phi_factors
     spectrum = np.zeros((n, n, c), dtype=np.complex128)
-    spectrum[coarse] = kept
+    spectrum[coarse] = coeffs
     torus = fft.ifft2(spectrum, axes=(0, 1), norm="forward", overwrite_x=True)
     half = torus[: n // 2] + np.roll(torus[n // 2 :][::-1], n // 2, axis=1)
     return _forward_fast_values(half.reshape(-1, c), grid, lmax)

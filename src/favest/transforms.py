@@ -40,7 +40,9 @@ Nothing needs to be prepared by the caller.  K is cached per lmax, and the
 fast path builds a plan per (grid, lmax) on first use and keeps it on the
 grid, so repeated transforms on one grid pay only the FFTs, the per-order
 matmuls and the two sparse products, in O(N) working memory.
-The NUFFT route caches its auxiliary grid, with its plan, per degree.
+The NUFFT route caches its auxiliary grid, with its plan, per degree, and
+keeps its stencil factors per fine grid on the rule, so repeated
+transforms on one rule pay only its FFTs and its sparse products.
 Non-finite input values are rejected with ValueError.
 """
 
@@ -60,17 +62,18 @@ from .coupling import apply_coupling, build_adjoint_coupling
 from .scalar import TensorGrid, _adjoint_values, _forward_values, _pick_path
 
 
-def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None]:
-    """Normalize a rule / grid / raw point array into (points, grid).
+def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, dict | None]:
+    """Normalize a rule / grid / raw point array into (points, grid, stencils).
 
     The points are unit: a rule checked its own when it was built, a grid
-    makes them, and raw ones are checked here.
+    makes them, and raw ones are checked here.  ``stencils`` is a rule's
+    cache of NUFFT stencil factors; other point sets have none.
     """
     if isinstance(rule_or_points, QuadratureRule):
-        return rule_or_points.points, rule_or_points.grid
+        return rule_or_points.points, rule_or_points.grid, rule_or_points._stencils
     if isinstance(rule_or_points, TensorGrid):
-        return rule_or_points.points(), rule_or_points
-    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64))), None
+        return rule_or_points.points(), rule_or_points, None
+    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64))), None, None
 
 
 def forward_favest(
@@ -125,10 +128,10 @@ def adjoint_favest(
     """
     if not (np.all(np.isfinite(coeffs.div.values)) and np.all(np.isfinite(coeffs.curl.values))):
         raise ValueError("coefficient values must be finite")
-    points, grid = _resolve_grid(rule_or_points)
+    points, grid, stencils = _resolve_grid(rule_or_points)
     top = coeffs.lmax + 1
     route = _pick_path(path, grid, top, points.shape[0])
-    values = _adjoint_values(route, build_adjoint_coupling(coeffs), top, points, grid)
+    values = _adjoint_values(route, build_adjoint_coupling(coeffs), top, points, grid, stencils)
     return TangentFieldSamples._at_checked_points(points, values)
 
 

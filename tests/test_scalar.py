@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import favest.legendre
-from favest import VectorCoefficients, adjoint_favest
-from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, flat_size
+from favest import VectorCoefficients, adjoint_favest, forward_favest
+from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, flat_size, from_spherical
 from favest.legendre import eval_ylm, ylm_table
-from favest.quadrature import gen_gl_tensor
+from favest.quadrature import gen_gl_tensor, verify_exactness
 from favest.scalar import (
     TensorGrid,
     _adjoint_direct_values,
@@ -286,7 +286,7 @@ def test_nufft_matches_direct(n, lmax):
     assert _relative(forward, _forward_direct_values(f, pts, lmax)) <= 1e-11
 
 
-@pytest.mark.parametrize("lmax", [0, 5, 40])
+@pytest.mark.parametrize("lmax", [0, 5, 40, 46])  # 46: the NUFFT pads n from 94 to 96
 @pytest.mark.parametrize("route", ["direct", "nufft", "fast"])
 def test_each_route_is_an_adjoint_pair(route, lmax):
     # <A^H f, g> = <f, A g>: each forward kernel is the unweighted adjoint of its adjoint kernel.
@@ -354,8 +354,9 @@ def test_nufft_factors_are_the_dense_factors_separated():
         z, wz = np.polynomial.legendre.leggauss(4 * width)
         kernel = np.exp(2.3 * width * (np.sqrt(1.0 - z * z) - 1.0))
         p = 0.5 * width * (np.cos(np.outer(freqs, z) * (width * np.pi / (2 * n))) @ (wz * kernel))
-        # The fine grid's rows start at theta = -pi/2: a phase of pi/2 per frequency.
-        dense = (np.exp(-1j * np.pi * freqs * (1 / n + 0.5)) / (n * n * p))[:, None] / p[None, :]
+        # The fine grid's first formed row sits at theta = -width * pi / n:
+        # a phase of width * pi / n per frequency.
+        dense = (np.exp(-1j * np.pi * freqs * (1 + width) / n) / (n * n * p))[:, None] / p[None, :]
         assert theta_factors.shape == (2 * lmax + 1, 1, 1) and phi_factors.shape == (2 * lmax + 1, 1)
         assert _relative((theta_factors * phi_factors)[..., 0], dense) <= 1e-15
 
@@ -421,3 +422,125 @@ def test_nufft_auxiliary_grid_takes_the_paired_plan():
     grid = _nufft_setup(lmax, favest.scalar._NUFFT_WIDTH)[0]
     plan = _plan(grid, lmax)
     assert grid.n_theta == 66 and plan.mirrors.size == 33 and plan.rings.size == 33
+
+
+def test_tensor_grid_points_are_the_spherical_conversion_bit_for_bit():
+    for t in (0, 3, 20, 140):
+        grid, rule = gen_gl_tensor(t)
+        theta = np.repeat(grid.ring_thetas, grid.n_phi)
+        phi = np.tile(grid.phis, grid.n_theta)
+        assert np.array_equal(grid.points(), from_spherical(theta, phi))
+        assert np.array_equal(rule.points, grid.points()) and rule.grid is grid
+
+
+def test_nufft_grid_is_the_smallest_fast_even_size():
+    from scipy.fft import next_fast_len
+
+    for width in range(3, 14):
+        for lmax in range(301):
+            n = _nufft_setup(lmax, width)[0].n_phi
+            low = max(2 * lmax + 2, 2 * width)
+            assert n % 2 == 0 and n >= low and next_fast_len(2 * n) == 2 * n, (lmax, width, n)
+            assert all(next_fast_len(2 * m) != 2 * m for m in range(low, n, 2)), (lmax, width, n)
+
+
+@pytest.mark.parametrize("lmax, n_aux", [(46, 96), (140, 288)])
+def test_nufft_matches_direct_on_a_padded_grid(lmax, n_aux):
+    rng = np.random.default_rng(lmax)
+    pts = _awkward_points(rng, 300)
+    assert _nufft_setup(lmax, favest.scalar._NUFFT_WIDTH)[0].n_phi == n_aux > 2 * lmax + 2
+    f = rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2))
+    g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+    assert _relative(_adjoint_nufft_values(g, lmax, pts), _adjoint_direct_values(g, lmax, pts)) <= 1e-11
+    assert _relative(_forward_nufft_values(f, pts, lmax), _forward_direct_values(f, pts, lmax)) <= 1e-11
+
+
+def test_nufft_stencils_reach_only_the_formed_rows():
+    # The fine grid holds only the n_fine/2 + 2*width rows stencils can reach.
+    rng = np.random.default_rng(83)
+    pts = _awkward_points(rng, 300)  # both poles included
+    for lmax in (0, 8, 40):
+        for width in range(3, 14):
+            n_fine = 2 * _nufft_setup(lmax, width)[0].n_phi
+            for _, _, rows in favest.scalar._stencil_bands(pts, n_fine, width):
+                assert 0 <= rows.start < rows.stop <= n_fine // 2 + 2 * width, (lmax, width, rows)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = favest.scalar._es_kernel
+
+    def counted(z, width):
+        calls.append(width)
+        return kernel(z, width)
+
+    monkeypatch.setattr(favest.scalar, "_es_kernel", counted)
+    return calls
+
+
+def _random_rule(rng, n):
+    pts = _random_points(rng, n)
+    return QuadratureRule(pts, np.full(n, FOUR_PI / n), exactness=0)
+
+
+def test_nufft_stencil_factors_are_built_once_per_rule(monkeypatch):
+    rng = np.random.default_rng(89)
+    calls = _count_kernel_calls(monkeypatch)
+    first, second = _random_rule(rng, 2500), _random_rule(rng, 2500)
+    t = 40
+    defects = [verify_exactness(rule, t) for rule in (first, second)]
+    assert calls and len(first._stencils) == len(second._stencils) == 1
+    calls.clear()
+    # Warm: each rule reads its own entry, and builds nothing.
+    assert [verify_exactness(rule, t) for rule in (first, second)] == defects
+    assert calls == []
+    # A vector transform at scalar degree t reads the same entry both ways.
+    lmax = t - 1
+    coeffs = VectorCoefficients.zeros(lmax)
+    coeffs.div.values[1:] = rng.standard_normal(flat_size(lmax) - 1)
+    for _ in range(2):
+        samples = adjoint_favest(coeffs, first)
+        forward_favest(samples, first, lmax)
+    assert calls == [] and len(first._stencils) == 1
+    # The cached factors give what factors built afresh give.
+    fresh = _forward_nufft_values(first.weights[:, None].astype(complex), first.points, t)[:, 0]
+    fresh[0] -= np.sqrt(FOUR_PI)
+    assert np.max(np.abs(fresh)) == defects[0][0]
+
+
+def test_nufft_stencil_cache_keys_on_degree_and_width(monkeypatch):
+    rng = np.random.default_rng(97)
+    rule = _random_rule(rng, 2500)
+    calls = _count_kernel_calls(monkeypatch)
+    verify_exactness(rule, 40)  # n = 84: fine grid 168
+    verify_exactness(rule, 60)  # n = 126: fine grid 252
+    assert len(rule._stencils) == 2
+    calls.clear()
+    monkeypatch.setattr(favest.scalar, "_NUFFT_WIDTH", 9)
+    defect, _ = verify_exactness(rule, 40)
+    assert calls and list(rule._stencils) == [(168, 13), (252, 13), (168, 9)]
+    sums = _forward_direct_values(rule.weights[:, None].astype(complex), rule.points, 40)[:, 0]
+    sums[0] -= np.sqrt(FOUR_PI)
+    assert abs(defect - np.max(np.abs(sums))) <= 1e-7  # width 9: about 1e-9 relative
+    # The cache holds the last few (fine grid, width) pairs only.
+    for width in (5, 7, 11):
+        monkeypatch.setattr(favest.scalar, "_NUFFT_WIDTH", width)
+        verify_exactness(rule, 40)
+    assert list(rule._stencils) == [(168, 9), (168, 5), (168, 7), (168, 11)]
+
+
+def test_nufft_on_a_changed_raw_array_gives_the_new_points_values(monkeypatch):
+    rng = np.random.default_rng(101)
+    lmax = 40
+    coeffs = VectorCoefficients.zeros(lmax)
+    coeffs.div.values[1:] = rng.standard_normal(flat_size(lmax) - 1)
+    pts = _random_points(rng, 2500)
+    _nufft_setup(lmax + 1, favest.scalar._NUFFT_WIDTH)  # counted below: the stencil factors only
+    calls = _count_kernel_calls(monkeypatch)
+    for _ in range(2):
+        got = adjoint_favest(coeffs, pts, path="nufft").values
+        want = adjoint_favest(coeffs, pts.copy(), path="direct-scalar").values
+        assert _relative(got, want) <= 1e-11
+        assert len(calls) == 2  # raw points build their factors, one kernel per axis, on every call
+        calls.clear()
+        pts[:] = pts[:, [2, 0, 1]]  # the same array, other points
