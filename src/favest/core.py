@@ -222,7 +222,7 @@ class QuadratureRule:
     ``grid`` carries the iso-latitude tensor structure when the rule has
     one, which is what enables the fast transform path.  Frozen, with read-only
     copies of ``points`` and ``weights``: the transforms trust the checks made here,
-    and ``_stencils`` keeps the NUFFT's point factors (see ``scalar._stencils``).
+    and ``_stencils`` keeps the NUFFT's point factors (see ``scalar._stencil_bands``).
     """
 
     points: np.ndarray

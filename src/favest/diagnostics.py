@@ -112,7 +112,7 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
     """
     if lmax < 1:
         raise ValueError(f"need lmax >= 1, got {lmax}")
-    points = _resolve_grid(rule_or_points)[0]
+    points, _ = _resolve_grid(rule_or_points)
     worst_div = 0.0
     worst_curl = 0.0
     for div, curl, env_div, env_curl in _iter_envelopes(lmax, points):
@@ -131,7 +131,7 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
 
 def component_envelope_check(lmax: int, rule_or_points) -> float:
     """Largest component magnitude as a fraction of its envelope (<= 1)."""
-    points = _resolve_grid(rule_or_points)[0]
+    points, _ = _resolve_grid(rule_or_points)
     worst = 0.0
     for div, curl, env_div, env_curl in _iter_envelopes(lmax, points):
         for fam, env in ((div, env_div), (curl, env_curl)):

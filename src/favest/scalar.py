@@ -73,9 +73,10 @@ batch spreads into, and reads from, a band of the formed rows.  After
 NFFT3's precomputation, the point-dependent factors of the stencils (the
 colatitude order and batches, each stencil's node offsets and its 1-D
 kernel weights, about 270 bytes per point) are kept on the frozen
-``QuadratureRule`` per fine grid and width, so a call on a rule builds
-only the batches' index sums, outer products and CSR wrappers; raw
-point arrays, which may change between calls, build the factors per call.
+``QuadratureRule`` for the last fine grid and width it was transformed
+at, so a repeated call on a rule builds only the batches' index sums,
+outer products and CSR wrappers; raw point arrays, which may change
+between calls, build the factors a batch at a time and keep none.
 
 The route of a scalar transform is decided in this module alone:
 :func:`_pick_path` names it and :func:`_forward_values` or
@@ -93,7 +94,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size
+from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size, from_spherical
 from .legendre import _CHUNK_ENTRIES, _batches, _legendre_by_order, _order_phases, _point_chunks
 
 
@@ -147,31 +148,20 @@ class TensorGrid:
         return 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
 
     def points(self) -> np.ndarray:
-        """All grid points, ring-major, shape (n_theta * n_phi, 3).
-
-        Outer products of the rings' sines and the longitudes' cosines and
-        sines: bit for bit what ``from_spherical`` gives on the repeated
-        angles, from n_theta + n_phi sines and cosines instead of 3 per point.
-        """
-        st, ct = np.sin(self.ring_thetas), np.cos(self.ring_thetas)
-        out = np.empty((self.n_theta, self.n_phi, 3))
-        np.multiply.outer(st, np.cos(self.phis), out=out[..., 0])
-        np.multiply.outer(st, np.sin(self.phis), out=out[..., 1])
-        out[..., 2] = ct[:, None]
-        return out.reshape(-1, 3)
+        """All grid points, ring-major, shape (n_theta * n_phi, 3)."""
+        theta = np.repeat(self.ring_thetas, self.n_phi)
+        phi = np.tile(self.phis, self.n_theta)
+        return from_spherical(theta, phi)
 
     def to_rule(self, exactness: int) -> QuadratureRule:
         """Flatten into a point/weight rule that remembers its grid."""
-        rule = QuadratureRule(
+        return QuadratureRule(
             points=self.points(),
             weights=np.repeat(self.ring_weights, self.n_phi),
             exactness=exactness,
             kind="gl-tensor",
+            grid=self,
         )
-        # The points and weights are the grid's own, so the rule's check
-        # that they match its grid, which rebuilds the points, is skipped.
-        object.__setattr__(rule, "grid", self)
-        return rule
 
 
 def _check_samples(f: np.ndarray, n: int) -> np.ndarray:
@@ -455,7 +445,9 @@ def adjoint_sht_fast(coeffs: ScalarCoefficients, grid: TensorGrid) -> np.ndarray
 
 #: Width, in fine-grid points per axis, of the NUFFT's spreading kernel.
 _NUFFT_WIDTH = 13
-#: Most kernel values one stencil block may hold; bounds working memory.
+#: Most kernel values one stencil block may hold; bounds the working memory
+#: of a call.  A rule keeps its NUFFT stencil factors besides, about 270
+#: bytes per point (see :func:`_stencil_bands`).
 _STENCIL_ENTRIES = 1 << 18
 #: A scalar transform on points without a usable grid takes the NUFFT from
 #: this degree and this many points on, where it measured faster than the
@@ -497,7 +489,7 @@ def _forward_values(route: str, f: np.ndarray, rule: QuadratureRule, degree: int
     if route == "fast-scalar":
         return _forward_fast_values(wf, rule.grid, degree)
     if route == "nufft":
-        return _forward_nufft_values(wf, rule.points, degree, rule._stencils)
+        return _forward_nufft_values(wf, rule.points, degree, rule)
     return _forward_direct_values(wf, rule.points, degree)
 
 
@@ -507,16 +499,17 @@ def _adjoint_values(
     degree: int,
     points: np.ndarray,
     grid: TensorGrid | None,
-    stencils: dict | None,
+    rule_or_points,
 ) -> np.ndarray:
     """Adjoint sums of the (size, c) columns at the points, or the grid's, by the named route.
 
-    ``stencils`` is the NUFFT's cache for the points, a rule's ``_stencils``, or None.
+    ``rule_or_points`` is what the points came from: a rule keeps the NUFFT's stencil factors.
     """
     if route == "fast-scalar":
         return _adjoint_fast_values(values, degree, grid)
     if route == "nufft":
-        return _adjoint_nufft_values(values, degree, points, stencils)
+        rule = rule_or_points if isinstance(rule_or_points, QuadratureRule) else None
+        return _adjoint_nufft_values(values, degree, points, rule)
     return _adjoint_direct_values(values, degree, points)
 
 
@@ -566,23 +559,18 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, np.ndarray, 
     return grid, np.ix_(freqs % n, freqs % n), kept, theta_factors, phi_factors
 
 
-#: A point set keeps the stencil factors of this many (n_fine, width) pairs.
-_STENCIL_CACHE = 4
-
-
 @dataclass(frozen=True)
-class _StencilFactors:
-    """A point set's NUFFT stencils for one (n_fine, width); see :func:`_stencil_factors`."""
+class _StencilBatch:
+    """One batch of a point set's NUFFT stencils; see :func:`_stencil_factors`."""
 
-    order: np.ndarray  # (M,) the points in colatitude order
-    batches: list[slice]  # consecutive runs of ``order``, one stencil block each
-    bands: list[slice]  # per batch: the fine-grid rows its stencils reach
-    nodes: np.ndarray  # (M, width) int32: each stencil's first-row nodes, ring-major in its band
-    theta_weights: np.ndarray  # (M, width) kernel values along theta
-    phi_weights: np.ndarray  # (M, width) kernel values along phi
+    idx: np.ndarray  # (b,) the batch's points, in colatitude order
+    band: slice  # the fine-grid rows its stencils reach
+    nodes: np.ndarray  # (b, width) int32: each stencil's first-row nodes, ring-major in the band
+    theta_weights: np.ndarray  # (b, width) kernel values along theta
+    phi_weights: np.ndarray  # (b, width) kernel values along phi
 
 
-def _stencil_factors(points: np.ndarray, n_fine: int, width: int) -> _StencilFactors:
+def _stencil_factors(points: np.ndarray, n_fine: int, width: int):
     """Sort the points by colatitude, batch them and place their stencils.
 
     The fine grid has spacing 2pi/n_fine in both angles, and its row 0 at
@@ -590,65 +578,68 @@ def _stencil_factors(points: np.ndarray, n_fine: int, width: int) -> _StencilFac
     theta * n_fine / (2pi) + width, in [width, n_fine/2 + width], and every
     stencil lies in the first n_fine/2 + 2*width rows.  Each point's width
     nearest nodes per axis carry the 1-D kernel values; columns wrap in phi.
-    Batches hold at most ``_STENCIL_ENTRIES`` kernel values.  Sorted by
-    colatitude, their bands split the n_fine/2 + width rows that points
-    reach, so spreading adds into a band instead of a whole fine grid.
+    Yields a :class:`_StencilBatch` per batch of at most ``_STENCIL_ENTRIES``
+    kernel values, built when it is asked for.  Sorted by colatitude, the
+    batches' bands split the n_fine/2 + width rows that points reach, so
+    spreading adds into a band instead of a whole fine grid.
     """
     theta, phi = _sphere_angles(points)
     order = np.argsort(theta)
     offsets = np.arange(width)
-    starts, weights = [], []
-    for x, shift in ((theta[order], width), (phi[order], 0)):
-        s = x * (n_fine / (2.0 * np.pi)) + shift
-        start = np.ceil(s - 0.5 * width)
-        # The width nodes within width/2 grid steps of the point.
-        weights.append(_es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width))
-        starts.append(start.astype(np.int32))
-    rows, cols = starts
-    batches = _batches(order.size, width * width, _STENCIL_ENTRIES)
-    # In colatitude order a batch's first point has its lowest row, its last the highest.
-    bands = [slice(int(rows[b.start]), int(rows[b.stop - 1]) + width) for b in batches]
-    # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
-    nodes = (cols[:, None] + offsets.astype(np.int32)) % n_fine
-    for b, band in zip(batches, bands):
-        nodes[b] += ((rows[b] - band.start) * n_fine)[:, None]
-    return _StencilFactors(order, batches, bands, nodes, *weights)
+    for batch in _batches(order.size, width * width, _STENCIL_ENTRIES):
+        idx = order[batch]
+        starts, weights = [], []
+        for x, shift in ((theta[idx], width), (phi[idx], 0)):
+            s = x * (n_fine / (2.0 * np.pi)) + shift
+            start = np.ceil(s - 0.5 * width)
+            # The width nodes within width/2 grid steps of the point.
+            weights.append(_es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width))
+            starts.append(start.astype(np.int32))
+        rows, cols = starts
+        # In colatitude order the batch's first point has its lowest row, its last the highest.
+        band = slice(int(rows[0]), int(rows[-1]) + width)
+        # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
+        nodes = ((rows - band.start) * n_fine)[:, None] + (cols[:, None] + offsets.astype(np.int32)) % n_fine
+        yield _StencilBatch(idx, band, nodes, *weights)
 
 
-def _stencil(factors: _StencilFactors, batch: slice, band: slice, n_fine: int, width: int):
-    """The CSR block of one batch, whose stencils reach the fine-grid rows ``band``.
+def _stencil(factors: _StencilBatch, n_fine: int, width: int):
+    """The CSR block of one batch, whose stencils reach the fine-grid rows ``factors.band``.
 
     Row k holds the width x width tensor-product kernel values of the
     batch's k-th point at its nearest nodes; the columns are ring-major over
     the band's rows.  Only the index sum, the outer product and the wrapper
-    are built here: the factors are the point set's.
+    are built here: the factors are the batch's.
     """
     from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
 
     steps = np.arange(0, width * n_fine, n_fine, dtype=np.int32)[:, None]
-    indices = (factors.nodes[batch, None, :] + steps).reshape(-1)
-    data = (factors.theta_weights[batch, :, None] * factors.phi_weights[batch, None, :]).reshape(-1)
+    indices = (factors.nodes[:, None, :] + steps).reshape(-1)
+    data = (factors.theta_weights[:, :, None] * factors.phi_weights[:, None, :]).reshape(-1)
     indptr = np.arange(0, data.size + 1, width * width, dtype=np.int32)
+    band = factors.band
     return csr_array((data, indices, indptr), shape=(indptr.size - 1, (band.stop - band.start) * n_fine))
 
 
-def _stencil_bands(points: np.ndarray, n_fine: int, width: int, stencils: dict | None = None):
+def _stencil_bands(points: np.ndarray, n_fine: int, width: int, rule: QuadratureRule | None = None):
     """Point batches in colatitude order, each with its :func:`_stencil` block.
 
-    Yields (idx, block, rows) per batch.  The factors come from
-    ``stencils``, a rule's ``_stencils``, which keeps them for its last
-    ``_STENCIL_CACHE`` (n_fine, width) pairs: the rule is frozen, so they
-    cannot go stale.  Raw points, which may change between calls, pass None
-    and build them per call.
+    Yields (idx, block, rows) per batch.  ``rule``, if given, is the frozen
+    rule the points are: its ``_stencils`` keeps the batches' factors for
+    one (n_fine, width), replaced when another is asked for, so a repeated
+    call builds only the blocks.  Raw points, which may change between
+    calls, build their factors a batch at a time and keep none.
     """
-    stencils = {} if stencils is None else stencils
-    factors = stencils.get((n_fine, width))
-    if factors is None:
-        while len(stencils) >= _STENCIL_CACHE:
-            del stencils[next(iter(stencils))]  # the oldest entry
-        factors = stencils[n_fine, width] = _stencil_factors(points, n_fine, width)
-    for batch, band in zip(factors.batches, factors.bands):
-        yield factors.order[batch], _stencil(factors, batch, band, n_fine, width), band
+    if rule is None:
+        batches = _stencil_factors(points, n_fine, width)
+    else:
+        batches = rule._stencils.get((n_fine, width))
+        if batches is None:
+            batches = tuple(_stencil_factors(points, n_fine, width))
+            rule._stencils.clear()
+            rule._stencils[n_fine, width] = batches
+    for factors in batches:
+        yield factors.idx, _stencil(factors, n_fine, width), factors.band
 
 
 def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -657,7 +648,7 @@ def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _adjoint_nufft_values(
-    values: np.ndarray, lmax: int, points: np.ndarray, stencils: dict | None = None
+    values: np.ndarray, lmax: int, points: np.ndarray, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """Adjoint sum at arbitrary points through the auxiliary grid and a 2-D NUFFT.
 
@@ -667,8 +658,8 @@ def _adjoint_nufft_values(
     its Fourier coefficients by one FFT; a type-2 NUFFT with the
     exponential-of-semicircle kernel evaluates it at the points.  The fine
     grid is synthesized in theta on the kept columns only, then in phi on
-    the rows that stencils reach only.  ``stencils`` is the points' cache
-    of stencil factors (see :func:`_stencil_bands`).
+    the rows that stencils reach only.  ``rule`` is the rule the points
+    are, if any, which keeps their stencil factors (see :func:`_stencil_bands`).
     """
     from scipy import fft
 
@@ -688,14 +679,14 @@ def _adjoint_nufft_values(
     # The fine-grid values as real pairs: one row of 2n nodes per fine ring.
     nodes = fft.ifft(rows, axis=1, norm="forward", overwrite_x=True).view(np.float64)
     out = np.empty((points.shape[0], 2 * c), dtype=np.float64)
-    for idx, block, band in _stencil_bands(points, 2 * n, width, stencils):
+    for idx, block, band in _stencil_bands(points, 2 * n, width, rule):
         out[idx] = block @ nodes[band].reshape(-1, 2 * c)
         del block  # free it before the next batch builds its own
     return out.view(np.complex128)
 
 
 def _forward_nufft_values(
-    f: np.ndarray, points: np.ndarray, lmax: int, stencils: dict | None = None
+    f: np.ndarray, points: np.ndarray, lmax: int, rule: QuadratureRule | None = None
 ) -> np.ndarray:
     """Unweighted sums of the (N, c) columns f at arbitrary points: the NUFFT adjoint's transpose.
 
@@ -712,7 +703,7 @@ def _forward_nufft_values(
     n, c = grid.n_phi, f.shape[1]
     pairs = f.view(np.float64)
     nodes = np.zeros((n + 2 * width, 2 * n, 2 * c), dtype=np.float64)
-    for idx, block, band in _stencil_bands(points, 2 * n, width, stencils):
+    for idx, block, band in _stencil_bands(points, 2 * n, width, rule):
         nodes[band] += (block.T @ pairs[idx]).reshape(-1, 2 * n, 2 * c)
         del block  # free it before the next batch builds its own
     columns = fft.fft(nodes.view(np.complex128), axis=1, overwrite_x=True)[:, kept]

@@ -41,8 +41,8 @@ fast path builds a plan per (grid, lmax) on first use and keeps it on the
 grid, so repeated transforms on one grid pay only the FFTs, the per-order
 matmuls and the two sparse products, in O(N) working memory.
 The NUFFT route caches its auxiliary grid, with its plan, per degree, and
-keeps its stencil factors per fine grid on the rule, so repeated
-transforms on one rule pay only its FFTs and its sparse products.
+keeps the stencil factors of the last degree on the rule, so repeated
+transforms on one rule at one degree pay only its FFTs and its sparse products.
 Non-finite input values are rejected with ValueError.
 """
 
@@ -62,18 +62,17 @@ from .coupling import apply_coupling, build_adjoint_coupling
 from .scalar import TensorGrid, _adjoint_values, _forward_values, _pick_path
 
 
-def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, dict | None]:
-    """Normalize a rule / grid / raw point array into (points, grid, stencils).
+def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None]:
+    """Normalize a rule / grid / raw point array into (points, grid).
 
     The points are unit: a rule checked its own when it was built, a grid
-    makes them, and raw ones are checked here.  ``stencils`` is a rule's
-    cache of NUFFT stencil factors; other point sets have none.
+    makes them, and raw ones are checked here.
     """
     if isinstance(rule_or_points, QuadratureRule):
-        return rule_or_points.points, rule_or_points.grid, rule_or_points._stencils
+        return rule_or_points.points, rule_or_points.grid
     if isinstance(rule_or_points, TensorGrid):
-        return rule_or_points.points(), rule_or_points, None
-    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64))), None, None
+        return rule_or_points.points(), rule_or_points
+    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64))), None
 
 
 def forward_favest(
@@ -128,10 +127,10 @@ def adjoint_favest(
     """
     if not (np.all(np.isfinite(coeffs.div.values)) and np.all(np.isfinite(coeffs.curl.values))):
         raise ValueError("coefficient values must be finite")
-    points, grid, stencils = _resolve_grid(rule_or_points)
+    points, grid = _resolve_grid(rule_or_points)
     top = coeffs.lmax + 1
     route = _pick_path(path, grid, top, points.shape[0])
-    values = _adjoint_values(route, build_adjoint_coupling(coeffs), top, points, grid, stencils)
+    values = _adjoint_values(route, build_adjoint_coupling(coeffs), top, points, grid, rule_or_points)
     return TangentFieldSamples._at_checked_points(points, values)
 
 

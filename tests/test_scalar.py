@@ -5,7 +5,7 @@ import pytest
 
 import favest.legendre
 from favest import VectorCoefficients, adjoint_favest, forward_favest
-from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, flat_size, from_spherical
+from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, flat_size
 from favest.legendre import eval_ylm, ylm_table
 from favest.quadrature import gen_gl_tensor, verify_exactness
 from favest.scalar import (
@@ -424,15 +424,6 @@ def test_nufft_auxiliary_grid_takes_the_paired_plan():
     assert grid.n_theta == 66 and plan.mirrors.size == 33 and plan.rings.size == 33
 
 
-def test_tensor_grid_points_are_the_spherical_conversion_bit_for_bit():
-    for t in (0, 3, 20, 140):
-        grid, rule = gen_gl_tensor(t)
-        theta = np.repeat(grid.ring_thetas, grid.n_phi)
-        phi = np.tile(grid.phis, grid.n_theta)
-        assert np.array_equal(grid.points(), from_spherical(theta, phi))
-        assert np.array_equal(rule.points, grid.points()) and rule.grid is grid
-
-
 def test_nufft_grid_is_the_smallest_fast_even_size():
     from scipy.fft import next_fast_len
 
@@ -513,20 +504,40 @@ def test_nufft_stencil_cache_keys_on_degree_and_width(monkeypatch):
     rule = _random_rule(rng, 2500)
     calls = _count_kernel_calls(monkeypatch)
     verify_exactness(rule, 40)  # n = 84: fine grid 168
+    assert list(rule._stencils) == [(168, 13)]
+    calls.clear()
+    # A rule keeps the factors of its last (fine grid, width) only.
     verify_exactness(rule, 60)  # n = 126: fine grid 252
-    assert len(rule._stencils) == 2
+    assert calls and list(rule._stencils) == [(252, 13)]
     calls.clear()
     monkeypatch.setattr(favest.scalar, "_NUFFT_WIDTH", 9)
     defect, _ = verify_exactness(rule, 40)
-    assert calls and list(rule._stencils) == [(168, 13), (252, 13), (168, 9)]
+    assert calls and list(rule._stencils) == [(168, 9)]
     sums = _forward_direct_values(rule.weights[:, None].astype(complex), rule.points, 40)[:, 0]
     sums[0] -= np.sqrt(FOUR_PI)
     assert abs(defect - np.max(np.abs(sums))) <= 1e-7  # width 9: about 1e-9 relative
-    # The cache holds the last few (fine grid, width) pairs only.
-    for width in (5, 7, 11):
-        monkeypatch.setattr(favest.scalar, "_NUFFT_WIDTH", width)
-        verify_exactness(rule, 40)
-    assert list(rule._stencils) == [(168, 9), (168, 5), (168, 7), (168, 11)]
+
+
+def test_nufft_on_raw_points_holds_one_batch_of_stencil_factors(monkeypatch):
+    rng = np.random.default_rng(103)
+    lmax, n = 8, 20000
+    width = favest.scalar._NUFFT_WIDTH
+    monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 64 * width * width)
+    pts = _random_points(rng, n)
+    f = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    g = rng.standard_normal((flat_size(lmax), 1)) + 1j * rng.standard_normal((flat_size(lmax), 1))
+    _adjoint_nufft_values(g, lmax, pts)  # warm-up: the auxiliary grid and its plan
+    peaks = []
+    for call in (lambda: _adjoint_nufft_values(g, lmax, pts), lambda: _forward_nufft_values(f, pts, lmax)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # The angles, their order and the adjoint's output take about 60 bytes
+    # per point; the whole point set's factors would add about 270 more.
+    assert max(peaks) <= 100 * n, peaks
 
 
 def test_nufft_on_a_changed_raw_array_gives_the_new_points_values(monkeypatch):
@@ -535,12 +546,15 @@ def test_nufft_on_a_changed_raw_array_gives_the_new_points_values(monkeypatch):
     coeffs = VectorCoefficients.zeros(lmax)
     coeffs.div.values[1:] = rng.standard_normal(flat_size(lmax) - 1)
     pts = _random_points(rng, 2500)
-    _nufft_setup(lmax + 1, favest.scalar._NUFFT_WIDTH)  # counted below: the stencil factors only
+    width = favest.scalar._NUFFT_WIDTH
+    _nufft_setup(lmax + 1, width)  # counted below: the stencil factors only
+    batches = len(favest.legendre._batches(2500, width * width, favest.scalar._STENCIL_ENTRIES))
     calls = _count_kernel_calls(monkeypatch)
     for _ in range(2):
         got = adjoint_favest(coeffs, pts, path="nufft").values
         want = adjoint_favest(coeffs, pts.copy(), path="direct-scalar").values
         assert _relative(got, want) <= 1e-11
-        assert len(calls) == 2  # raw points build their factors, one kernel per axis, on every call
+        # Raw points build their factors, one kernel per axis and batch, on every call.
+        assert len(calls) == 2 * batches
         calls.clear()
         pts[:] = pts[:, [2, 0, 1]]  # the same array, other points
