@@ -51,13 +51,7 @@ from .fields import (
 )
 from .legendre import eval_ylm, legendre_table, ylm_table
 from .quadrature import bundled_design, gen_gl_tensor, load_design, verify_exactness
-from .scalar import (
-    TensorGrid,
-    adjoint_sht_direct,
-    adjoint_sht_fast,
-    forward_sht_direct,
-    forward_sht_fast,
-)
+from .scalar import TensorGrid, adjoint_sht, forward_sht
 from .transforms import (
     RepeatErrors,
     RoundtripResult,
@@ -88,8 +82,7 @@ __all__ = [
     "VectorCoefficients",
     "VshValue",
     "adjoint_favest",
-    "adjoint_sht_direct",
-    "adjoint_sht_fast",
+    "adjoint_sht",
     "adjoint_vsht_direct",
     "apply_coupling",
     "bench",
@@ -111,8 +104,7 @@ __all__ = [
     "flat_index",
     "flat_size",
     "forward_favest",
-    "forward_sht_direct",
-    "forward_sht_fast",
+    "forward_sht",
     "forward_vsht_direct",
     "from_spherical",
     "gen_gl_tensor",

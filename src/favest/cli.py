@@ -24,8 +24,6 @@ from .transforms import (
     roundtrip,
 )
 
-_POINT_MATCH_TOL = 1e-9
-
 
 def _nonneg_int(text: str) -> int:
     value = int(text)
@@ -93,10 +91,6 @@ def cmd_fwd(args) -> int:
         samples = _field_samples(args.field, rule)
     else:
         samples = fio.read_samples(args.field)
-        if samples.points.shape != rule.points.shape or (
-            np.max(np.abs(samples.points - rule.points)) > _POINT_MATCH_TOL
-        ):
-            raise ValueError(f"{args.field}: sample points do not match {args.points}")
     coeffs = forward_favest(samples, rule, lmax)
     fio.write_coefficients(args.out, coeffs)
     print(f"wrote degree-{lmax} coefficients to {args.out}")

@@ -247,6 +247,8 @@ class QuadratureRule:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
         if self.exactness < 0:
             raise ValueError(f"claimed exactness must be non-negative, got {self.exactness}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         total = float(np.sum(w))
         if abs(total - FOUR_PI) > 1e-8:
             raise ValueError(

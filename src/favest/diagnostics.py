@@ -23,7 +23,8 @@ from .core import ScalarCoefficients, TangentFieldSamples, VectorCoefficients, f
 from .coupling import cg_explicit, coupling_weight_c, coupling_weight_d
 from .legendre import ylm_table
 from .quadrature import gen_gl_tensor
-from .transforms import _resolve_grid, adjoint_favest, forward_favest
+from .scalar import _target
+from .transforms import adjoint_favest, forward_favest
 from .vsh import _column, _families_from_table, _table_batches
 
 _SQRT2 = np.sqrt(2.0)
@@ -112,7 +113,7 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
     """
     if lmax < 1:
         raise ValueError(f"need lmax >= 1, got {lmax}")
-    points, _ = _resolve_grid(rule_or_points)
+    points = _target(rule_or_points)[0]
     worst_div = 0.0
     worst_curl = 0.0
     for div, curl, env_div, env_curl in _iter_envelopes(lmax, points):
@@ -131,7 +132,7 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
 
 def component_envelope_check(lmax: int, rule_or_points) -> float:
     """Largest component magnitude as a fraction of its envelope (<= 1)."""
-    points, _ = _resolve_grid(rule_or_points)
+    points = _target(rule_or_points)[0]
     worst = 0.0
     for div, curl, env_div, env_curl in _iter_envelopes(lmax, points):
         for fam, env in ((div, env_div), (curl, env_curl)):

@@ -13,15 +13,17 @@ Gram integrands reach degree 2(L+1).
 
 The sums are the degree-t scalar forward transform of f = 1 on the rule,
 F(l, m) = sum_i w_i conj(Y(l, m, x_i)), whose moduli equal those of the
-sums above.  The certifier reads only points and weights, never a grid, and
-lets ``scalar.py``, where every scalar route is decided, pick the route as
-``path="auto"`` does on scattered points: the NUFFT from degree 33 and 2000
-points on, in O(t**3 + N) for N points, and the direct sums, O(N * t**2),
-below.  The NUFFT's rounding noise stays far below the 1e-8 pass
-threshold: the Gauss-Legendre rules up to t = 140 read defects of at most
-3e-11 on it (3.0e-11 at t = 94; 2.0e-12 at t = 140, where the direct sums
-read 1.5e-13).  A rule keeps the NUFFT's stencil factors, so certifying it
-again, at the same degree, rebuilds none of them.
+sums above: ``scalar.forward_sht`` with ``path="auto"``, which picks the
+route as the ``scalar`` module docstring says.  A rule whose grid has
+n_phi >= 2t + 1 is certified on the FFT path (``QuadratureRule`` ties that
+grid to the points and weights, to 1e-12); a Gauss-Legendre rule at its own
+exactness has n_phi = t + 1, so it, like any rule without a grid, takes
+the NUFFT in O(t**3 + N) for N points, or the direct sums, O(N * t**2),
+below the NUFFT's crossover.  The NUFFT's rounding noise stays far below
+the 1e-8 pass threshold: the Gauss-Legendre rules up to t = 140 read
+defects of at most 3e-11 on it (3.0e-11 at t = 94; 2.0e-12 at t = 140,
+where the direct sums read 1.5e-13).  A rule keeps the NUFFT's stencil
+factors, so certifying it again, at the same degree, rebuilds none of them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import FOUR_PI, QuadratureRule, check_unit
-from .scalar import TensorGrid, _forward_values, _pick_path
+from .scalar import TensorGrid, forward_sht
 
 _BUNDLED_DESIGNS = {"icosahedron12": ("icosahedron12.txt", 5)}
 
@@ -68,8 +70,7 @@ def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:
     """
     if t < 0:
         raise ValueError(f"certification degree must be non-negative, got {t}")
-    route = _pick_path("auto", None, t, len(rule))  # no grid: never a grid plan
-    sums = _forward_values(route, np.ones((len(rule), 1), dtype=np.complex128), rule, t)[:, 0]
+    sums = forward_sht(np.ones(len(rule), dtype=np.complex128), rule, t).values
     sums[0] -= np.sqrt(FOUR_PI)
     defect = float(np.max(np.abs(sums)))
     return defect, defect <= 1e-8

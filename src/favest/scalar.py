@@ -9,7 +9,7 @@ and the adjoint evaluates the partial sum S(g; x) = sum_{l,m} g_{l,m} Y(l,m,x).
 With A the synthesis matrix, A[k, (l, m)] = Y(l, m, x_k), and W the diagonal
 of the weights, the adjoint is A g and the forward is A^H W f.  Each route
 is a pair of kernels, A and the unweighted A^H, on validated (N, c) or
-((lmax + 1)**2, c) complex columns; :func:`_forward_values` forms W f once,
+((lmax + 1)**2, c) complex columns; :func:`_forward_columns` forms W f once,
 as a temporary the kernel may overwrite.
 The direct variants accept arbitrary points; the fast variants require an
 iso-latitude tensor grid and replace the longitudinal sums by FFTs, with the
@@ -78,13 +78,15 @@ at, so a repeated call on a rule builds only the batches' index sums,
 outer products and CSR wrappers; raw point arrays, which may change
 between calls, build the factors a batch at a time and keep none.
 
-The route of a scalar transform is decided in this module alone:
-:func:`_pick_path` names it and :func:`_forward_values` or
-:func:`_adjoint_values` runs its kernel.  The vector transforms and
-``quadrature.verify_exactness`` make one call of each.  ``path="auto"``
-takes the fast path on a grid with n_phi >= 2*lmax + 1, else the NUFFT
-from scalar degree 33 and 2000 points on (:func:`_nufft_pays`), else the
-direct sums.
+The route of a scalar transform is decided, and run, in this module alone.
+:func:`forward_sht` and :func:`adjoint_sht`, which the certifier
+``quadrature.verify_exactness`` uses, are the scalar transforms; the vector
+transforms run their three columns through the private pair behind them,
+:func:`_forward_columns` / :func:`_adjoint_columns`.
+``path`` is one of :data:`PATHS`.  ``path="auto"`` takes the fast path on
+a grid with n_phi >= 2*degree + 1 (a rule's own grid, if it has one), else
+the NUFFT from scalar degree 33 and 2000 points on (:func:`_nufft_pays`),
+where it measured faster than the direct sums, else the direct sums.
 """
 
 from __future__ import annotations
@@ -164,13 +166,6 @@ class TensorGrid:
         )
 
 
-def _check_samples(f: np.ndarray, n: int) -> np.ndarray:
-    vals = np.asarray(f, dtype=np.complex128)
-    if vals.shape != (n,):
-        raise ValueError(f"sample array of shape {vals.shape} does not match {n} points")
-    return vals
-
-
 def _order_rows(lmax: int) -> tuple[np.ndarray, ...]:
     """Order-major positions of the flat coefficient rows.
 
@@ -210,20 +205,6 @@ def _forward_direct_values(f: np.ndarray, points: np.ndarray, lmax: int) -> np.n
     out[rows] = acc[ms, ls, :c] - 1j * acc[ms, ls, c:]
     out[rows_neg] = signs * (acc[msn, lsn, :c] + 1j * acc[msn, lsn, c:])
     return out
-
-
-def forward_sht_direct(f: np.ndarray, rule: QuadratureRule, lmax: int) -> ScalarCoefficients:
-    """Forward scalar transform of the N samples f by direct summation over arbitrary points."""
-    if lmax < 0:
-        raise ValueError(f"lmax must be non-negative, got {lmax}")
-    wf = rule.weights * _check_samples(f, len(rule))
-    return ScalarCoefficients(lmax, _forward_direct_values(wf[:, None], rule.points, lmax)[:, 0])
-
-
-def adjoint_sht_direct(coeffs: ScalarCoefficients, points: np.ndarray) -> np.ndarray:
-    """Evaluate the harmonic partial sum at arbitrary points."""
-    pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-    return _adjoint_direct_values(coeffs.values[:, None], coeffs.lmax, pts)[:, 0]
 
 
 def _adjoint_direct_values(values: np.ndarray, lmax: int, points: np.ndarray) -> np.ndarray:
@@ -396,19 +377,6 @@ def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarr
     return out
 
 
-def forward_sht_fast(f: np.ndarray, grid: TensorGrid, lmax: int) -> ScalarCoefficients:
-    """Forward scalar transform of the grid's samples f via per-ring FFTs.
-
-    Requires ``grid.n_phi >= 2*lmax + 1`` so that no retained order falls
-    on an aliased DFT bin.  Matches :func:`forward_sht_direct` on the
-    flattened rule to rounding error.
-    """
-    if lmax < 0:
-        raise ValueError(f"lmax must be non-negative, got {lmax}")
-    wf = np.repeat(grid.ring_weights, grid.n_phi) * _check_samples(f, len(grid))
-    return ScalarCoefficients(lmax, _forward_fast_values(wf[:, None], grid, lmax)[:, 0])
-
-
 def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
     from scipy import fft
 
@@ -436,11 +404,6 @@ def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.
     # norm="forward" leaves the inverse unscaled: the plain sum over orders.
     out = fft.ifft(spectrum, axis=1, norm="forward", overwrite_x=True)
     return out.reshape(len(grid), values.shape[1])
-
-
-def adjoint_sht_fast(coeffs: ScalarCoefficients, grid: TensorGrid) -> np.ndarray:
-    """Evaluate the harmonic partial sum on a tensor grid via FFTs."""
-    return _adjoint_fast_values(coeffs.values[:, None], coeffs.lmax, grid)[:, 0]
 
 
 #: Width, in fine-grid points per axis, of the NUFFT's spreading kernel.
@@ -483,8 +446,49 @@ def _pick_path(path: str, grid: TensorGrid | None, degree: int, n_points: int) -
     return "nufft" if _nufft_pays(degree, n_points) else "direct-scalar"
 
 
-def _forward_values(route: str, f: np.ndarray, rule: QuadratureRule, degree: int) -> np.ndarray:
-    """A^H W f by the named route, for (N, c) complex f; the kernel may overwrite W f."""
+def forward_sht(f: np.ndarray, rule: QuadratureRule, lmax: int, path: str = "auto") -> ScalarCoefficients:
+    """Forward scalar transform A^H W f of the rule's N samples f, up to degree lmax.
+
+    ``path`` is one of :data:`PATHS`; "auto" picks the route as the module
+    docstring says.  Raises ValueError on non-finite samples.
+    """
+    if lmax < 0:
+        raise ValueError(f"lmax must be non-negative, got {lmax}")
+    vals = np.asarray(f, dtype=np.complex128)
+    if vals.shape != (len(rule),):
+        raise ValueError(f"sample array of shape {vals.shape} does not match {len(rule)} points")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sample values must be finite")
+    return ScalarCoefficients(lmax, _forward_columns(vals[:, None], rule, lmax, path)[:, 0])
+
+
+def adjoint_sht(coeffs: ScalarCoefficients, rule_or_points, path: str = "auto") -> np.ndarray:
+    """Evaluate the harmonic partial sum A g at a rule's, a grid's or raw (N, 3) unit points.
+
+    ``path`` picks the route as in :func:`forward_sht`.  Raises ValueError
+    on non-finite coefficients and on raw points off the unit sphere.
+    """
+    if not np.all(np.isfinite(coeffs.values)):
+        raise ValueError("coefficient values must be finite")
+    return _adjoint_columns(coeffs.values[:, None], coeffs.lmax, rule_or_points, path)[1][:, 0]
+
+
+def _target(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, QuadratureRule | None]:
+    """(points, grid, rule) of a QuadratureRule, a TensorGrid or a raw (N, 3) array.
+
+    The points are unit: a rule checked its own when it was built, a grid
+    makes them, and raw ones are checked here.
+    """
+    if isinstance(rule_or_points, QuadratureRule):
+        return rule_or_points.points, rule_or_points.grid, rule_or_points
+    if isinstance(rule_or_points, TensorGrid):
+        return rule_or_points.points(), rule_or_points, None
+    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64))), None, None
+
+
+def _forward_columns(f: np.ndarray, rule: QuadratureRule, degree: int, path: str) -> np.ndarray:
+    """A^H W f on the route ``path`` picks, for (N, c) complex f; the kernel may overwrite W f."""
+    route = _pick_path(path, rule.grid, degree, len(rule))
     wf = rule.weights[:, None] * f
     if route == "fast-scalar":
         return _forward_fast_values(wf, rule.grid, degree)
@@ -493,24 +497,20 @@ def _forward_values(route: str, f: np.ndarray, rule: QuadratureRule, degree: int
     return _forward_direct_values(wf, rule.points, degree)
 
 
-def _adjoint_values(
-    route: str,
-    values: np.ndarray,
-    degree: int,
-    points: np.ndarray,
-    grid: TensorGrid | None,
-    rule_or_points,
-) -> np.ndarray:
-    """Adjoint sums of the (size, c) columns at the points, or the grid's, by the named route.
+def _adjoint_columns(
+    values: np.ndarray, degree: int, rule_or_points, path: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, A g) for the (size, c) columns g, on the route ``path`` picks.
 
-    ``rule_or_points`` is what the points came from: a rule keeps the NUFFT's stencil factors.
+    A rule keeps the NUFFT's stencil factors; see :func:`_stencil_bands`.
     """
+    points, grid, rule = _target(rule_or_points)
+    route = _pick_path(path, grid, degree, points.shape[0])
     if route == "fast-scalar":
-        return _adjoint_fast_values(values, degree, grid)
+        return points, _adjoint_fast_values(values, degree, grid)
     if route == "nufft":
-        rule = rule_or_points if isinstance(rule_or_points, QuadratureRule) else None
-        return _adjoint_nufft_values(values, degree, points, rule)
-    return _adjoint_direct_values(values, degree, points)
+        return points, _adjoint_nufft_values(values, degree, points, rule)
+    return points, _adjoint_direct_values(values, degree, points)
 
 
 def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:

@@ -20,14 +20,9 @@ Each scalar transform runs on one of three routes:
 * "direct-scalar": direct sums over any points, O(M L^2).
 
 On every route the scalar forward is A^H W, the adjoint A^H of synthesis
-weighted by the diagonal W of the rule's weights: ``scalar._forward_values``
-applies W once, before the route's unweighted A^H.
-
-The route is decided in ``scalar.py`` (``scalar._pick_path``), which also
-runs it.  ``path="auto"`` takes the fast path whenever the rule carries a
-tensor grid with enough longitudes.  Otherwise it takes the NUFFT from
-scalar degree 33 (vector degree 32) and 2000 points on, where it measured
-faster than the direct sums, and the direct sums below.  The direct route is
+weighted by the diagonal W of the rule's weights.  ``scalar.py`` picks the
+route, and runs it, behind one call per direction; its module docstring
+states what ``path="auto"`` takes.  The direct route is
 algebraically identical to the direct vector transforms for any
 point/weight family, not just exact rules - that identity is the main
 correctness test of the package.  So is the fast route, except that it
@@ -52,27 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    QuadratureRule,
-    TangentFieldSamples,
-    VectorCoefficients,
-    check_unit,
-)
+from .core import QuadratureRule, TangentFieldSamples, VectorCoefficients
 from .coupling import apply_coupling, build_adjoint_coupling
-from .scalar import TensorGrid, _adjoint_values, _forward_values, _pick_path
-
-
-def _resolve_grid(rule_or_points) -> tuple[np.ndarray, TensorGrid | None]:
-    """Normalize a rule / grid / raw point array into (points, grid).
-
-    The points are unit: a rule checked its own when it was built, a grid
-    makes them, and raw ones are checked here.
-    """
-    if isinstance(rule_or_points, QuadratureRule):
-        return rule_or_points.points, rule_or_points.grid
-    if isinstance(rule_or_points, TensorGrid):
-        return rule_or_points.points(), rule_or_points
-    return check_unit(np.atleast_2d(np.asarray(rule_or_points, dtype=np.float64))), None
+from .scalar import _adjoint_columns, _forward_columns
 
 
 def forward_favest(
@@ -92,9 +69,8 @@ def forward_favest(
     lmax : int
         Largest vector degree to produce, >= 1.
     path : {"auto", "direct-scalar", "fast-scalar", "nufft"}
-        Scalar route.  "auto" uses the FFT path when the rule's grid allows
-        it, else "nufft" from lmax >= 32 and 2000 points on, else the
-        direct sums.  "nufft" and "direct-scalar" run on any rule.
+        Scalar route, picked for "auto" as the ``scalar`` module docstring
+        says.  "nufft" and "direct-scalar" run on any rule.
 
     Raises ValueError on non-finite sample values.
     """
@@ -107,8 +83,7 @@ def forward_favest(
         raise ValueError("sample points do not match the quadrature rule points")
     if not np.all(np.isfinite(samples.values)):
         raise ValueError("sample values must be finite")
-    route = _pick_path(path, rule.grid, lmax + 1, len(rule))
-    return apply_coupling(_forward_values(route, samples.values, rule, lmax + 1), lmax)
+    return apply_coupling(_forward_columns(samples.values, rule, lmax + 1, path), lmax)
 
 
 def adjoint_favest(
@@ -127,10 +102,9 @@ def adjoint_favest(
     """
     if not (np.all(np.isfinite(coeffs.div.values)) and np.all(np.isfinite(coeffs.curl.values))):
         raise ValueError("coefficient values must be finite")
-    points, grid = _resolve_grid(rule_or_points)
-    top = coeffs.lmax + 1
-    route = _pick_path(path, grid, top, points.shape[0])
-    values = _adjoint_values(route, build_adjoint_coupling(coeffs), top, points, grid, rule_or_points)
+    points, values = _adjoint_columns(
+        build_adjoint_coupling(coeffs), coeffs.lmax + 1, rule_or_points, path
+    )
     return TangentFieldSamples._at_checked_points(points, values)
 
 

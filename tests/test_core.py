@@ -108,6 +108,9 @@ def test_non_finite_points_are_rejected(bad):
         QuadratureRule(pts, np.full(2, FOUR_PI / 2), exactness=0)
     with pytest.raises(ValueError):
         TangentFieldSamples(pts, np.zeros((2, 3)))
+    # A NaN weight, or +inf and -inf, sums to NaN.
+    with pytest.raises(ValueError, match="finite"):
+        QuadratureRule(np.eye(3)[:2], np.array([bad, -bad]), exactness=0)
 
 
 def test_import_defers_scipy():

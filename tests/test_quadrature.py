@@ -8,6 +8,7 @@ import favest.scalar
 from favest.core import FOUR_PI, QuadratureRule
 from favest.legendre import ylm_table
 from favest.quadrature import bundled_design, gen_gl_tensor, load_design, verify_exactness
+from favest.scalar import forward_sht
 
 _SD498 = os.path.join(os.path.dirname(__file__), "data", "sd498_t31.txt")
 
@@ -102,12 +103,21 @@ def test_verify_takes_the_scalar_route_auto_would(monkeypatch):
         verify_exactness(_random_weighted_rule(rng, n), t)
         assert calls == [route], (t, n, calls)
         calls.clear()
-    # A tensor rule is certified from its points and weights: no grid plan.
+    # A tensor rule at its own exactness has too few longitudes for the FFT path.
     _, rule = gen_gl_tensor(66)
     assert len(rule) >= most
     defect, passed = verify_exactness(rule, 66)
     assert calls == ["nufft"] and passed and defect <= 1e-10
     assert not rule.grid._plans
+    calls.clear()
+    # One with n_phi >= 2t + 1 is certified on it, as accurately as by the direct sums.
+    _, rule = gen_gl_tensor(80)
+    assert len(rule) >= most
+    defect, passed = verify_exactness(rule, 33)
+    assert calls == [] and list(rule.grid._plans) == [33] and passed
+    sums = forward_sht(np.ones(len(rule)), rule, 33, path="direct-scalar").values
+    sums[0] -= np.sqrt(FOUR_PI)
+    assert abs(defect - np.max(np.abs(sums))) <= 1e-13
 
 
 def test_single_point_is_not_a_one_design():

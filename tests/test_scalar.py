@@ -18,10 +18,8 @@ from favest.scalar import (
     _forward_nufft_values,
     _nufft_setup,
     _plan,
-    adjoint_sht_direct,
-    adjoint_sht_fast,
-    forward_sht_direct,
-    forward_sht_fast,
+    adjoint_sht,
+    forward_sht,
 )
 
 
@@ -38,7 +36,7 @@ def _random_points(rng, n):
 def test_constant_function_projects_onto_monopole():
     _, rule = gen_gl_tensor(8)
     f = np.full(len(rule), 1.0 / np.sqrt(FOUR_PI), dtype=np.complex128)
-    coeffs = forward_sht_direct(f, rule, 3)
+    coeffs = forward_sht(f, rule, 3, path="direct-scalar")
     assert coeffs.get(0, 0) == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(coeffs.values[1:])) <= 1e-10
 
@@ -46,7 +44,7 @@ def test_constant_function_projects_onto_monopole():
 def test_single_harmonic_recovered_exactly():
     _, rule = gen_gl_tensor(6)
     f = eval_ylm(3, 2, rule.points)
-    coeffs = forward_sht_direct(f, rule, 3)
+    coeffs = forward_sht(f, rule, 3, path="direct-scalar")
     assert coeffs.get(3, 2) == pytest.approx(1.0, abs=1e-10)
     others = coeffs.values.copy()
     others[3 * 3 + 3 + 2] = 0.0
@@ -57,16 +55,16 @@ def test_single_point_rule_gives_scaled_conjugate_row():
     point = np.array([0.6, -0.48, 0.64])
     point /= np.linalg.norm(point)
     rule = QuadratureRule(point[None, :], np.array([FOUR_PI]), exactness=0)
-    coeffs = forward_sht_direct(np.ones(1, dtype=np.complex128), rule, 4)
+    coeffs = forward_sht(np.ones(1, dtype=np.complex128), rule, 4, path="direct-scalar")
     assert np.allclose(coeffs.values, FOUR_PI * np.conj(ylm_row(4, point)), atol=1e-13)
 
 
 def test_forward_rejects_length_mismatch():
     _, rule = gen_gl_tensor(4)
     with pytest.raises(ValueError):
-        forward_sht_direct(np.ones(len(rule) + 1), rule, 2)
+        forward_sht(np.ones(len(rule) + 1), rule, 2, path="direct-scalar")
     with pytest.raises(ValueError):
-        forward_sht_direct(np.ones(len(rule)), rule, -1)
+        forward_sht(np.ones(len(rule)), rule, -1, path="direct-scalar")
 
 
 def test_adjoint_unit_masses():
@@ -74,15 +72,15 @@ def test_adjoint_unit_masses():
     pts = _random_points(rng, 20)
     g = ScalarCoefficients.zeros(2)
     g.values[0] = 1.0
-    out = adjoint_sht_direct(g, pts)
+    out = adjoint_sht(g, pts, path="direct-scalar")
     assert np.allclose(out, 1.0 / np.sqrt(FOUR_PI), atol=1e-14)
 
     g = ScalarCoefficients.zeros(1)
     g.values[2] = 1.0  # (1, 0)
-    pole = adjoint_sht_direct(g, np.array([[0.0, 0.0, 1.0]]))
+    pole = adjoint_sht(g, np.array([[0.0, 0.0, 1.0]]), path="direct-scalar")
     assert pole[0] == pytest.approx(0.4886025119, abs=1e-10)
 
-    zero = adjoint_sht_direct(ScalarCoefficients.zeros(5), pts)
+    zero = adjoint_sht(ScalarCoefficients.zeros(5), pts, path="direct-scalar")
     assert np.all(zero == 0.0)
 
 
@@ -94,8 +92,8 @@ def test_adjointness_identity():
     f = rng.standard_normal(len(rule)) + 1j * rng.standard_normal(len(rule))
     gv = rng.standard_normal(flat_size(lmax)) + 1j * rng.standard_normal(flat_size(lmax))
     g = ScalarCoefficients(lmax, gv)
-    lhs = np.vdot(forward_sht_direct(f, rule, lmax).values, gv)
-    rhs = np.sum(rule.weights * np.conj(f) * adjoint_sht_direct(g, rule.points))
+    lhs = np.vdot(forward_sht(f, rule, lmax, path="direct-scalar").values, gv)
+    rhs = np.sum(rule.weights * np.conj(f) * adjoint_sht(g, rule.points, path="direct-scalar"))
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
@@ -105,8 +103,8 @@ def test_exact_recovery_forward_after_adjoint():
     _, rule = gen_gl_tensor(2 * lmax)
     gv = rng.standard_normal(flat_size(lmax)) + 1j * rng.standard_normal(flat_size(lmax))
     g = ScalarCoefficients(lmax, gv)
-    f = adjoint_sht_direct(g, rule.points)
-    rec = forward_sht_direct(f, rule, lmax)
+    f = adjoint_sht(g, rule.points, path="direct-scalar")
+    rec = forward_sht(f, rule, lmax, path="direct-scalar")
     assert np.max(np.abs(rec.values - gv)) <= 1e-10
 
 
@@ -115,14 +113,14 @@ def test_fast_matches_direct(lmax):
     rng = np.random.default_rng(lmax)
     grid, rule = gen_gl_tensor(2 * (lmax + 1))
     f = rng.standard_normal(len(rule)) + 1j * rng.standard_normal(len(rule))
-    fast = forward_sht_fast(f, grid, lmax)
-    direct = forward_sht_direct(f, rule, lmax)
+    fast = forward_sht(f, rule, lmax, path="fast-scalar")
+    direct = forward_sht(f, rule, lmax, path="direct-scalar")
     assert np.max(np.abs(fast.values - direct.values)) <= 1e-11
 
     gv = rng.standard_normal(flat_size(lmax)) + 1j * rng.standard_normal(flat_size(lmax))
     g = ScalarCoefficients(lmax, gv)
-    out_fast = adjoint_sht_fast(g, grid)
-    out_direct = adjoint_sht_direct(g, rule.points)
+    out_fast = adjoint_sht(g, grid, path="fast-scalar")
+    out_direct = adjoint_sht(g, rule.points, path="direct-scalar")
     assert np.max(np.abs(out_fast - out_direct)) <= 1e-11
 
 
@@ -190,13 +188,13 @@ def test_paired_plan_holds_half_the_rings_legendre_values():
 
 
 def test_fast_path_bandwidth_precondition():
-    grid, _ = gen_gl_tensor(10)  # n_phi = 11 supports lmax <= 5 only
+    grid, rule = gen_gl_tensor(10)  # n_phi = 11 supports lmax <= 5 only
     f = np.ones(len(grid), dtype=np.complex128)
     with pytest.raises(ValueError):
-        forward_sht_fast(f, grid, 6)
+        forward_sht(f, rule, 6, path="fast-scalar")
     with pytest.raises(ValueError):
-        adjoint_sht_fast(ScalarCoefficients.zeros(6), grid)
-    forward_sht_fast(f, grid, 5)  # boundary case is allowed
+        adjoint_sht(ScalarCoefficients.zeros(6), grid, path="fast-scalar")
+    forward_sht(f, rule, 5, path="fast-scalar")  # boundary case is allowed
 
 
 def test_tensor_grid_validation():
@@ -252,7 +250,7 @@ def test_direct_paths_across_chunk_boundaries(monkeypatch):
 def test_direct_adjoint_rejects_non_unit_points():
     pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.6]])
     with pytest.raises(ValueError):
-        adjoint_sht_direct(ScalarCoefficients.zeros(2), pts)
+        adjoint_sht(ScalarCoefficients.zeros(2), pts, path="direct-scalar")
 
 
 def _awkward_points(rng, n):

@@ -16,6 +16,7 @@ from favest.core import (
 )
 from favest.fields import field_a
 from favest.quadrature import gen_gl_tensor
+from favest.scalar import adjoint_sht, forward_sht
 from favest.transforms import (
     adjoint_favest,
     forward_favest,
@@ -152,12 +153,18 @@ def test_auto_routes_by_degree_and_point_count(monkeypatch):
         samples = adjoint_favest(coeffs, rule)
         forward_favest(samples, rule, lmax)
         adjoint_favest(coeffs, rule.points)
-        assert routes == [expected] * 3, (lmax, n, routes)
+        # The scalar transforms at the same scalar degree take the same route.
+        scalar = ScalarCoefficients.zeros(lmax + 1)
+        forward_sht(samples.values[:, 0], rule, lmax + 1)
+        adjoint_sht(scalar, rule)
+        adjoint_sht(scalar, rule.points)
+        assert routes == [expected] * 6, (lmax, n, routes)
         routes.clear()
     # A grid with enough longitudes keeps the FFT path at any size.
     _, gl = gen_gl_tensor(2 * top)
     adjoint_favest(_random_coeffs(rng, top - 1), gl)
-    assert routes == ["fast"]
+    adjoint_sht(ScalarCoefficients.zeros(top), gl)
+    assert routes == ["fast"] * 2
 
 
 def test_fast_path_needs_enough_longitudes():
@@ -255,11 +262,15 @@ def test_non_finite_input_rejected():
     samples.values[3, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         forward_favest(samples, rule, lmax)
+    with pytest.raises(ValueError, match="finite"):
+        forward_sht(samples.values[:, 1], rule, lmax)
     coeffs = _random_coeffs(rng, lmax)
     coeffs.curl.values[7] = np.inf
     for where in (rule, rule.points):
         with pytest.raises(ValueError, match="finite"):
             adjoint_favest(coeffs, where)
+        with pytest.raises(ValueError, match="finite"):
+            adjoint_sht(coeffs.curl, where)
 
 
 def test_adjoint_rejects_non_finite_points():
