@@ -222,7 +222,9 @@ class QuadratureRule:
     ``grid`` carries the iso-latitude tensor structure when the rule has
     one, which is what enables the fast transform path.  Frozen, with read-only
     copies of ``points`` and ``weights``: the transforms trust the checks made here,
-    and ``_stencils`` keeps the NUFFT's point factors (see ``scalar._stencil_bands``).
+    and ``_stencils`` keeps the NUFFT's separable stencil factors for one fine
+    grid (per batch of points, a CSR matrix of phi taps with its transpose and
+    the theta taps, about 280 bytes per point; see ``scalar._stencil_bands``).
     """
 
     points: np.ndarray

@@ -117,14 +117,21 @@ def read_coefficients(path) -> VectorCoefficients:
     size = flat_size(lmax)
     out = []
     for label, raw in (("a", raw_a), ("b", raw_b)):
+        if not isinstance(raw, list):
+            raise ValueError(f"{path}: array {label!r} is not a list of [re, im] pairs: {raw!r}")
         if len(raw) != size:
             raise ValueError(
                 f"{path}: array {label!r} has {len(raw)} entries, expected {size} for L_max={lmax}"
             )
         values = np.empty(size, dtype=np.complex128)
         for k, pair in enumerate(raw):
-            re, im = pair
-            values[k] = complex(float(re), float(im))
+            try:
+                re, im = pair
+                values[k] = complex(float(re), float(im))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: array {label!r} entry {k} is not an [re, im] pair: {pair!r}"
+                ) from exc
         out.append(ScalarCoefficients(lmax, values))
     return VectorCoefficients(out[0], out[1])
 

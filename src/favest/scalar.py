@@ -67,16 +67,27 @@ theta = -13 pi / n on, so no stencil wraps in theta, and of its
 frequencies only the (2*lmax + 1)**2 kept ones are synthesized, first in
 theta on the kept columns, then in phi on the formed rows.  The forward
 is the exact transpose of those steps.  Both agree with the direct sums
-to about 1e-12 relative.  Points are taken in batches of at most
-``_STENCIL_ENTRIES`` kernel values, in order of colatitude, so that each
-batch spreads into, and reads from, a band of the formed rows.  After
-NFFT3's precomputation, the point-dependent factors of the stencils (the
-colatitude order and batches, each stencil's node offsets and its 1-D
-kernel weights, about 270 bytes per point) are kept on the frozen
-``QuadratureRule`` for the last fine grid and width it was transformed
-at, so a repeated call on a rule builds only the batches' index sums,
-outer products and CSR wrappers; raw point arrays, which may change
-between calls, build the factors a batch at a time and keep none.
+to about 1e-12 relative.
+
+The 13 x 13 stencil is the product of two 1-D kernels, one along theta
+and one along phi, and is applied as such.  The fine grid is formed
+phi-major, as 2n columns of its reached rows, so the adjoint's last
+inverse FFT and the forward's first FFT run along axis 0.  Points are
+taken in order of colatitude, in batches whose first stencil rows lie
+within ``_BAND_ROWS`` = 6 rows of each other, of at most
+``_STENCIL_ENTRIES // 13**2`` points; a batch reads from, and spreads
+into, a band of at most 18 of the formed rows.  Per batch, the adjoint
+is one sparse product of the points' phi taps (a CSR matrix with 13
+entries per point) with the band's 2n columns, then a sum over the band's
+rows weighted by the theta taps; the forward is the exact transpose, the
+theta taps times the samples, spread by the CSC transpose of the same
+matrix.  After NFFT3's precomputation, the frozen ``QuadratureRule``
+keeps each batch's point indices, band, CSR matrix with its transpose
+(a view on the same buffers), theta taps and first rows, about 280 bytes
+per point, for the last fine grid and width it was transformed at: a
+repeated call on a rule evaluates no kernel and builds no sparse matrix.
+Raw point arrays, which may change between calls, build each batch's
+factors when it is asked for and keep none.
 
 The route of a scalar transform is decided, and run, in this module alone.
 :func:`forward_sht` and :func:`adjoint_sht`, which the certifier
@@ -93,11 +104,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size, from_spherical
 from .legendre import _CHUNK_ENTRIES, _batches, _legendre_by_order, _order_phases, _point_chunks
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array, csr_array
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,7 @@ class TensorGrid:
     longitudinal factor; each ring carries ``n_phi`` equispaced longitudes
     ``phi_j = 2*pi*j/n_phi``.  Points enumerate ring-major.  The ring arrays
     are read-only copies, and ``_plans`` caches the fast path's paired
-    Legendre blocks for each lmax it has used (see :func:`_plan`).
+    Legendre blocks for the last lmax it was used at (see :func:`_plan`).
     """
 
     ring_thetas: np.ndarray
@@ -274,6 +289,8 @@ def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     time, into two contiguous blocks per order m: the degrees with l - m
     even and those with l - m odd.  The accumulator holds, per order, the
     even then the odd degrees, each row with the columns of m and of -m.
+    The grid keeps the plan of one lmax, replaced when another is asked
+    for, as a rule keeps its NUFFT stencils for one degree.
     """
     plan = grid._plans.get(lmax)
     if plan is None:
@@ -281,6 +298,7 @@ def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
             raise ValueError(
                 f"fast path needs n_phi >= 2*lmax+1 = {2 * lmax + 1}, grid has n_phi={grid.n_phi}"
             )
+        grid._plans.clear()  # free the old plan before the new one is built
         plan = _build_plan(grid, lmax)
         grid._plans[lmax] = plan
     return plan
@@ -349,7 +367,7 @@ def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, l
 
 def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
     """Unweighted sums of the grid's (size, c) columns f; the ring FFT overwrites f."""
-    from scipy import fft  # deferred, like scipy.sparse in _stencil
+    from scipy import fft  # deferred, like scipy.sparse in _stencil_factors
 
     plan = _plan(grid, lmax)
     # Ring DFT, sum_j f_j exp(-2pi i j m / n_phi), in f's memory.
@@ -408,10 +426,13 @@ def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.
 
 #: Width, in fine-grid points per axis, of the NUFFT's spreading kernel.
 _NUFFT_WIDTH = 13
-#: Most kernel values one stencil block may hold; bounds the working memory
-#: of a call.  A rule keeps its NUFFT stencil factors besides, about 270
-#: bytes per point (see :func:`_stencil_bands`).
+#: A batch of NUFFT stencils holds at most ``_STENCIL_ENTRIES // width**2``
+#: points, whose first stencil rows lie within ``_BAND_ROWS`` rows of each
+#: other; that bounds a call's working memory to a few band-sized blocks.
+#: A rule keeps its batches' separable factors besides, about 280 bytes per
+#: point (see :func:`_stencil_bands`).
 _STENCIL_ENTRIES = 1 << 18
+_BAND_ROWS = 6
 #: A scalar transform on points without a usable grid takes the NUFFT from
 #: this degree and this many points on, where it measured faster than the
 #: direct sums, whose cost per point grows with the degree (see CHANGES.md).
@@ -542,7 +563,7 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, np.ndarray, 
 
     is evaluated by Gauss-Legendre quadrature.
     """
-    from scipy.fft import next_fast_len  # deferred, like scipy.sparse in _stencil
+    from scipy.fft import next_fast_len  # deferred, like scipy.sparse in _stencil_factors
 
     n = max(2 * lmax + 2, 2 * width)
     while next_fast_len(2 * n) != 2 * n:
@@ -561,13 +582,14 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, np.ndarray, 
 
 @dataclass(frozen=True)
 class _StencilBatch:
-    """One batch of a point set's NUFFT stencils; see :func:`_stencil_factors`."""
+    """One batch of a point set's NUFFT stencils, as separable factors; see :func:`_stencil_factors`."""
 
     idx: np.ndarray  # (b,) the batch's points, in colatitude order
     band: slice  # the fine-grid rows its stencils reach
-    nodes: np.ndarray  # (b, width) int32: each stencil's first-row nodes, ring-major in the band
-    theta_weights: np.ndarray  # (b, width) kernel values along theta
-    phi_weights: np.ndarray  # (b, width) kernel values along phi
+    phi: csr_array  # (b, n_fine): each point's width kernel values along phi, at their columns
+    phi_t: csc_array  # phi's transpose, a view on the same buffers
+    theta: np.ndarray  # (b, width) kernel values along theta
+    rows: np.ndarray  # (b,) int32: each stencil's first row, counted from band.start
 
 
 def _stencil_factors(points: np.ndarray, n_fine: int, width: int):
@@ -578,68 +600,66 @@ def _stencil_factors(points: np.ndarray, n_fine: int, width: int):
     theta * n_fine / (2pi) + width, in [width, n_fine/2 + width], and every
     stencil lies in the first n_fine/2 + 2*width rows.  Each point's width
     nearest nodes per axis carry the 1-D kernel values; columns wrap in phi.
-    Yields a :class:`_StencilBatch` per batch of at most ``_STENCIL_ENTRIES``
-    kernel values, built when it is asked for.  Sorted by colatitude, the
-    batches' bands split the n_fine/2 + width rows that points reach, so
-    spreading adds into a band instead of a whole fine grid.
-    """
-    theta, phi = _sphere_angles(points)
-    order = np.argsort(theta)
-    offsets = np.arange(width)
-    for batch in _batches(order.size, width * width, _STENCIL_ENTRIES):
-        idx = order[batch]
-        starts, weights = [], []
-        for x, shift in ((theta[idx], width), (phi[idx], 0)):
-            s = x * (n_fine / (2.0 * np.pi)) + shift
-            start = np.ceil(s - 0.5 * width)
-            # The width nodes within width/2 grid steps of the point.
-            weights.append(_es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width))
-            starts.append(start.astype(np.int32))
-        rows, cols = starts
-        # In colatitude order the batch's first point has its lowest row, its last the highest.
-        band = slice(int(rows[0]), int(rows[-1]) + width)
-        # int32 suffices: n_fine**2 < 2**31 at any degree whose plan fits in memory.
-        nodes = ((rows - band.start) * n_fine)[:, None] + (cols[:, None] + offsets.astype(np.int32)) % n_fine
-        yield _StencilBatch(idx, band, nodes, *weights)
-
-
-def _stencil(factors: _StencilBatch, n_fine: int, width: int):
-    """The CSR block of one batch, whose stencils reach the fine-grid rows ``factors.band``.
-
-    Row k holds the width x width tensor-product kernel values of the
-    batch's k-th point at its nearest nodes; the columns are ring-major over
-    the band's rows.  Only the index sum, the outer product and the wrapper
-    are built here: the factors are the batch's.
+    A batch holds points whose first stencil rows lie within ``_BAND_ROWS``
+    rows of each other, at most ``_STENCIL_ENTRIES // width**2`` of them, so
+    it reads and spreads a band of at most _BAND_ROWS + width - 1 rows.
+    Yields a :class:`_StencilBatch` per batch, built when it is asked for.
     """
     from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
 
-    steps = np.arange(0, width * n_fine, n_fine, dtype=np.int32)[:, None]
-    indices = (factors.nodes[:, None, :] + steps).reshape(-1)
-    data = (factors.theta_weights[:, :, None] * factors.phi_weights[:, None, :]).reshape(-1)
-    indptr = np.arange(0, data.size + 1, width * width, dtype=np.int32)
-    band = factors.band
-    return csr_array((data, indices, indptr), shape=(indptr.size - 1, (band.stop - band.start) * n_fine))
+    if not points.shape[0]:
+        return
+    theta, phi = _sphere_angles(points)
+    order = np.argsort(theta)
+    scale = n_fine / (2.0 * np.pi)
+    # Each point's first row, as the batches compute it; a band starts every _BAND_ROWS rows.
+    first = np.ceil((theta[order] * scale + width) - 0.5 * width)
+    edges = np.r_[np.searchsorted(first, np.arange(first[0], first[-1] + 1, _BAND_ROWS)), order.size]
+    del first
+    offsets = np.arange(width, dtype=np.int32)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for batch in _batches(hi - lo, width * width, _STENCIL_ENTRIES):
+            idx = order[lo:hi][batch]
+            starts, weights = [], []
+            for x, shift in ((theta[idx], width), (phi[idx], 0)):
+                s = x * scale + shift
+                start = np.ceil(s - 0.5 * width)
+                # The width nodes within width/2 grid steps of the point.
+                weights.append(_es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width))
+                starts.append(start.astype(np.int32))
+            rows, cols = starts
+            # In colatitude order the batch's first point has its lowest row, its last the highest.
+            band = slice(int(rows[0]), int(rows[-1]) + width)
+            indptr = np.arange(0, idx.size * width + 1, width, dtype=np.int32)
+            columns = ((cols[:, None] + offsets) % n_fine).reshape(-1)
+            phi_taps = csr_array((weights[1].reshape(-1), columns, indptr), shape=(idx.size, n_fine))
+            yield _StencilBatch(idx, band, phi_taps, phi_taps.T, weights[0], rows - np.int32(band.start))
 
 
 def _stencil_bands(points: np.ndarray, n_fine: int, width: int, rule: QuadratureRule | None = None):
-    """Point batches in colatitude order, each with its :func:`_stencil` block.
+    """The points' stencil batches (:class:`_StencilBatch`), in colatitude order.
 
-    Yields (idx, block, rows) per batch.  ``rule``, if given, is the frozen
-    rule the points are: its ``_stencils`` keeps the batches' factors for
-    one (n_fine, width), replaced when another is asked for, so a repeated
-    call builds only the blocks.  Raw points, which may change between
-    calls, build their factors a batch at a time and keep none.
+    ``rule``, if given, is the frozen rule the points are: its ``_stencils``
+    keeps the batches for one (n_fine, width), replaced when another is
+    asked for, so a repeated call builds nothing.  Raw points, which may
+    change between calls, build each batch when it is asked for and keep none.
     """
     if rule is None:
-        batches = _stencil_factors(points, n_fine, width)
-    else:
-        batches = rule._stencils.get((n_fine, width))
-        if batches is None:
-            batches = tuple(_stencil_factors(points, n_fine, width))
-            rule._stencils.clear()
-            rule._stencils[n_fine, width] = batches
-    for factors in batches:
-        yield factors.idx, _stencil(factors, n_fine, width), factors.band
+        return _stencil_factors(points, n_fine, width)
+    batches = rule._stencils.get((n_fine, width))
+    if batches is None:
+        batches = tuple(_stencil_factors(points, n_fine, width))
+        rule._stencils.clear()
+        rule._stencils[n_fine, width] = batches
+    return batches
+
+
+def _band_weights(batch: _StencilBatch) -> np.ndarray:
+    """The batch's kernel values along theta as a (b, band rows) block, zero off each stencil."""
+    b, width = batch.theta.shape
+    weights = np.zeros((b, batch.band.stop - batch.band.start))
+    weights[np.arange(b)[:, None], batch.rows[:, None] + np.arange(width)] = batch.theta
+    return weights
 
 
 def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -670,18 +690,25 @@ def _adjoint_nufft_values(
     half = _adjoint_fast_values(values, lmax, grid).reshape(n // 2, n, c)
     torus = np.concatenate([half, np.roll(half[::-1], n // 2, axis=1)])
     spectrum = fft.fft2(torus, axes=(0, 1), overwrite_x=True)
-    columns = np.zeros((2 * n, kept.size, c), dtype=np.complex128)
-    columns[kept] = spectrum[coarse] * theta_factors * phi_factors
+    # Phi-major from here on; ``coarse`` picks the same frequencies along both axes.
+    kept_coeffs = spectrum.transpose(1, 0, 2)[coarse]
     del half, torus, spectrum  # free them before the fine grid is formed
-    rows = np.zeros((height, 2 * n, c), dtype=np.complex128)
-    rows[:, kept] = fft.ifft(columns, axis=0, norm="forward", overwrite_x=True)[:height]
+    kept_coeffs *= phi_factors[:, :, None]
+    kept_coeffs *= theta_factors.transpose(1, 0, 2)
+    columns = np.zeros((kept.size, 2 * n, c), dtype=np.complex128)
+    columns[:, kept] = kept_coeffs
+    del kept_coeffs
+    rows = np.zeros((2 * n, height, c), dtype=np.complex128)
+    rows[kept] = fft.ifft(columns, axis=1, norm="forward", overwrite_x=True)[:, :height]
     del columns
-    # The fine-grid values as real pairs: one row of 2n nodes per fine ring.
-    nodes = fft.ifft(rows, axis=1, norm="forward", overwrite_x=True).view(np.float64)
+    # The fine-grid values as real pairs, phi-major: one column of fine rings per longitude.
+    nodes = fft.ifft(rows, axis=0, norm="forward", overwrite_x=True).view(np.float64)
     out = np.empty((points.shape[0], 2 * c), dtype=np.float64)
-    for idx, block, band in _stencil_bands(points, 2 * n, width, rule):
-        out[idx] = block @ nodes[band].reshape(-1, 2 * c)
-        del block  # free it before the next batch builds its own
+    for batch in _stencil_bands(points, 2 * n, width, rule):
+        # Along phi: the band's rows at each point's longitude; then along theta.
+        b = batch.idx.size
+        near = (batch.phi @ nodes[:, batch.band].reshape(2 * n, -1)).reshape(b, -1, 2 * c)
+        out[batch.idx] = np.einsum("kr,krc->kc", _band_weights(batch), near)
     return out.view(np.complex128)
 
 
@@ -702,18 +729,20 @@ def _forward_nufft_values(
     grid, coarse, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, f.shape[1]
     pairs = f.view(np.float64)
-    nodes = np.zeros((n + 2 * width, 2 * n, 2 * c), dtype=np.float64)
-    for idx, block, band in _stencil_bands(points, 2 * n, width, rule):
-        nodes[band] += (block.T @ pairs[idx]).reshape(-1, 2 * n, 2 * c)
-        del block  # free it before the next batch builds its own
-    columns = fft.fft(nodes.view(np.complex128), axis=1, overwrite_x=True)[:, kept]
+    nodes = np.zeros((2 * n, n + 2 * width, 2 * c), dtype=np.float64)
+    for batch in _stencil_bands(points, 2 * n, width, rule):
+        # Each sample along theta over the band's rows, then along phi.
+        b = batch.idx.size
+        near = np.einsum("kr,kc->krc", _band_weights(batch), pairs[batch.idx]).reshape(b, -1)
+        nodes[:, batch.band] += (batch.phi_t @ near).reshape(2 * n, -1, 2 * c)
+    columns = fft.fft(nodes.view(np.complex128), axis=0, overwrite_x=True)[kept]
     del nodes  # free the fine grid before the theta transform
-    coeffs = fft.fft(columns, n=2 * n, axis=0, overwrite_x=True)[kept]
+    coeffs = fft.fft(columns, n=2 * n, axis=1, overwrite_x=True)[:, kept]
     del columns
-    coeffs *= theta_factors.conj()
-    coeffs *= phi_factors
+    coeffs *= theta_factors.transpose(1, 0, 2).conj()
+    coeffs *= phi_factors[:, :, None]
     spectrum = np.zeros((n, n, c), dtype=np.complex128)
-    spectrum[coarse] = coeffs
+    spectrum.transpose(1, 0, 2)[coarse] = coeffs
     torus = fft.ifft2(spectrum, axes=(0, 1), norm="forward", overwrite_x=True)
     half = torus[: n // 2] + np.roll(torus[n // 2 :][::-1], n // 2, axis=1)
     return _forward_fast_values(half.reshape(-1, c), grid, lmax)

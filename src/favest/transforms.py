@@ -32,12 +32,15 @@ northern partner, which differs from the ring's own cosine by at most
 them to its accuracy.
 
 Nothing needs to be prepared by the caller.  K is cached per lmax, and the
-fast path builds a plan per (grid, lmax) on first use and keeps it on the
-grid, so repeated transforms on one grid pay only the FFTs, the per-order
-matmuls and the two sparse products, in O(N) working memory.
-The NUFFT route caches its auxiliary grid, with its plan, per degree, and
-keeps the stencil factors of the last degree on the rule, so repeated
-transforms on one rule at one degree pay only its FFTs and its sparse products.
+fast path builds a plan per (grid, lmax) on first use and keeps the last
+one on the grid, so repeated transforms on one grid at one degree pay only
+the FFTs, the per-order matmuls and the two sparse products, in O(N)
+working memory.  The NUFFT route caches its auxiliary grid, with its plan,
+per degree, and keeps the separable stencil factors of the last degree on
+the rule, their sparse matrices included, so repeated transforms on one
+rule at one degree evaluate no kernel and build no sparse matrix: they pay
+only the FFTs and, per batch of points, one sparse product and one
+weighted sum over a band of fine-grid rows.
 Non-finite input values are rejected with ValueError.
 """
 

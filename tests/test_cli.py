@@ -225,6 +225,15 @@ class TestAdjoint:
         want = eval_vsh(1, 0, rule.points).div
         np.testing.assert_allclose(back.values, want, atol=1e-12)
 
+    def test_malformed_coefficient_entry_is_usage_error(self, tmp_path, capsys):
+        coeffs_path = tmp_path / "bad.json"
+        coeffs_path.write_text('{"L_max": 1, "a": [[0,0],[1,0],7,[0,0]], "b": [[0,0],[0,0],[0,0],[0,0]]}')
+        rule_path = _write_gl(tmp_path, 8)
+        code = main(["adj", "--coeffs", str(coeffs_path), "--points", str(rule_path),
+                     "--out", str(tmp_path / "field.csv")])
+        assert code == 2
+        assert "entry 2" in capsys.readouterr().err
+
     def test_gl_rule_file_takes_the_fft_path(self, tmp_path, monkeypatch):
         # The grid rebuilt from a gen-gl file reaches the transform.
         routes = []

@@ -154,6 +154,20 @@ def test_coefficient_file_rejects_bad_content(tmp_path):
     with pytest.raises(ValueError):
         read_coefficients(short)
 
+    # Malformed entries name the file and the entry.
+    pairs = '[[0, 0], [0, 0], [0, 0], [0, 0]]'
+    for label, bad, entry in (
+        ("a", "[[0, 0], [1, 0], 7, [0, 0]]", "entry 2"),
+        ("a", "5", "'a'"),
+        ("b", "[[0, 0], [null, 0], [0, 0], [0, 0]]", "entry 1"),
+    ):
+        arrays = {"a": pairs, "b": pairs, label: bad}
+        path = tmp_path / "entries.json"
+        path.write_text(f'{{"L_max": 1, "a": {arrays["a"]}, "b": {arrays["b"]}}}')
+        with pytest.raises(ValueError, match=entry) as err:
+            read_coefficients(path)
+        assert str(path) in str(err.value) and f"{label!r}" in str(err.value)
+
 
 def test_samples_roundtrip(tmp_path):
     rng = np.random.default_rng(2)

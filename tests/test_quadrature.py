@@ -120,6 +120,13 @@ def test_verify_takes_the_scalar_route_auto_would(monkeypatch):
     assert abs(defect - np.max(np.abs(sums))) <= 1e-13
 
 
+def test_certifying_one_grid_at_rising_degrees_keeps_one_plan():
+    grid, rule = gen_gl_tensor(40)  # n_phi = 41: the FFT path up to t = 20
+    for t in range(21):
+        assert verify_exactness(rule, t)[1]
+        assert list(grid._plans) == [t]
+
+
 def test_single_point_is_not_a_one_design():
     rule = QuadratureRule(
         np.array([[0.0, 0.0, 1.0]]), np.array([FOUR_PI]), exactness=0

@@ -333,13 +333,20 @@ def test_nufft_stencil_batches_match_one_batch(monkeypatch):
     pts = _awkward_points(rng, n)
     f = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     g = rng.standard_normal((flat_size(lmax), 2)) + 1j * rng.standard_normal((flat_size(lmax), 2))
+    width = favest.scalar._NUFFT_WIDTH
+    n_fine = 2 * _nufft_setup(lmax, width)[0].n_phi
+    monkeypatch.setattr(favest.scalar, "_BAND_ROWS", n_fine)
+    assert len(list(favest.scalar._stencil_bands(pts, n_fine, width))) == 1
     one_fwd = _forward_nufft_values(f, pts, lmax)
     one_adj = _adjoint_nufft_values(g, lmax, pts)
-    width = favest.scalar._NUFFT_WIDTH
     monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 8 * width * width)
-    assert len(favest.legendre._batches(n, width * width, 8 * width * width)) == 7
-    assert np.array_equal(_adjoint_nufft_values(g, lmax, pts), one_adj)
-    assert _relative(_forward_nufft_values(f, pts, lmax), one_fwd) <= 1e-14
+    counts = []
+    for band_rows in (n_fine, 6):  # split by point count, then by colatitude band as well
+        monkeypatch.setattr(favest.scalar, "_BAND_ROWS", band_rows)
+        counts.append(len(list(favest.scalar._stencil_bands(pts, n_fine, width))))
+        assert np.array_equal(_adjoint_nufft_values(g, lmax, pts), one_adj)
+        assert _relative(_forward_nufft_values(f, pts, lmax), one_fwd) <= 1e-14
+    assert counts[0] == 7 and counts[1] > 7, counts
 
 
 def test_nufft_factors_are_the_dense_factors_separated():
@@ -385,10 +392,12 @@ def test_nufft_batches_take_consecutive_colatitude_bands(monkeypatch):
     monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 64 * width * width)
     pts = _awkward_points(rng, 2000)
     batches = list(favest.scalar._stencil_bands(pts, n_fine, width))
-    assert sorted(np.concatenate([idx for idx, _, _ in batches])) == list(range(2000))
+    assert sorted(np.concatenate([batch.idx for batch in batches])) == list(range(2000))
+    starts = [batch.band.start for batch in batches]
+    assert starts == sorted(starts)
     # Kernel start rows span n_fine / 2 + 1 rows in all; sorted batches share
     # that span and add one kernel width each.
-    heights = [block.shape[1] // n_fine for _, block, _ in batches]
+    heights = [batch.band.stop - batch.band.start for batch in batches]
     assert sum(heights) <= n_fine // 2 + 1 + len(batches) * width, heights
 
 
@@ -398,9 +407,12 @@ def test_nufft_stencils_lie_inside_the_fine_grid():
     for lmax in range(9):
         for width in range(3, 14):
             n_fine = 2 * _nufft_setup(lmax, width)[0].n_phi
-            for _, block, rows in favest.scalar._stencil_bands(pts, n_fine, width):
+            for batch in favest.scalar._stencil_bands(pts, n_fine, width):
+                rows = batch.band
                 assert 0 <= rows.start < rows.stop <= n_fine, (lmax, width, rows)
-                assert block.shape[1] == (rows.stop - rows.start) * n_fine
+                assert batch.phi.shape == (batch.idx.size, n_fine)
+                # Each stencil's width rows lie inside its batch's band.
+                assert 0 <= batch.rows.min() and batch.rows.max() + width <= rows.stop - rows.start
 
 
 def test_nufft_adjoint_rejects_non_unit_points():
@@ -451,7 +463,8 @@ def test_nufft_stencils_reach_only_the_formed_rows():
     for lmax in (0, 8, 40):
         for width in range(3, 14):
             n_fine = 2 * _nufft_setup(lmax, width)[0].n_phi
-            for _, _, rows in favest.scalar._stencil_bands(pts, n_fine, width):
+            for batch in favest.scalar._stencil_bands(pts, n_fine, width):
+                rows = batch.band
                 assert 0 <= rows.start < rows.stop <= n_fine // 2 + 2 * width, (lmax, width, rows)
 
 
@@ -497,6 +510,73 @@ def test_nufft_stencil_factors_are_built_once_per_rule(monkeypatch):
     assert np.max(np.abs(fresh)) == defects[0][0]
 
 
+def _count_sparse_builds(monkeypatch):
+    from scipy.sparse import _base
+
+    builds = []
+    init = _base._spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_base._spbase, "__init__", counted)
+    return builds
+
+
+def test_warm_nufft_calls_on_a_rule_build_no_stencil(monkeypatch):
+    rng = np.random.default_rng(107)
+    rule, fresh = _random_rule(rng, 2500), _random_rule(rng, 2500)
+    t = 40
+    lmax = t - 1
+    coeffs = VectorCoefficients.zeros(lmax)
+    coeffs.div.values[1:] = rng.standard_normal(flat_size(lmax) - 1)
+    verify_exactness(rule, t)  # cold: the rule's stencil factors
+    kernels = _count_kernel_calls(monkeypatch)
+    builds = _count_sparse_builds(monkeypatch)
+    verify_exactness(fresh, t)
+    assert kernels and builds  # both counters see a cold call
+    kernels.clear()
+    builds.clear()
+    verify_exactness(rule, t)
+    assert kernels == [] and builds == []
+    # The vector transforms at scalar degree t: what their NUFFT kernels build
+    # (the coupling operator lies outside them).
+    per_call = []
+    for name in ("_adjoint_nufft_values", "_forward_nufft_values"):
+
+        def counted(*args, _kernel=getattr(favest.scalar, name)):
+            before = len(builds)
+            out = _kernel(*args)
+            per_call.append(len(builds) - before)
+            return out
+
+        monkeypatch.setattr(favest.scalar, name, counted)
+    for _ in range(2):
+        forward_favest(adjoint_favest(coeffs, rule), rule, lmax)
+    assert kernels == [] and per_call == [0, 0, 0, 0]
+
+
+def test_nufft_rule_keeps_its_separable_factors_in_320_bytes_per_point():
+    rng = np.random.default_rng(109)
+    rule = _random_rule(rng, 10000)
+    verify_exactness(rule, 65)
+    (batches,) = rule._stencils.values()
+    width = favest.scalar._NUFFT_WIDTH
+    buffers = {}
+    for batch in batches:
+        # Each point keeps its phi taps as a sparse row, and its theta taps.
+        assert batch.phi.nnz == batch.theta.size == width * batch.idx.size
+        for value in vars(batch).values():
+            arrays = (value.data, value.indices, value.indptr) if hasattr(value, "indptr") else (value,)
+            for array in arrays:
+                if isinstance(array, np.ndarray):
+                    while isinstance(array.base, np.ndarray):  # a view keeps its base alive
+                        array = array.base
+                    buffers[id(array)] = array.nbytes
+    assert sum(buffers.values()) <= 320 * len(rule), sum(buffers.values()) / len(rule)
+
+
 def test_nufft_stencil_cache_keys_on_degree_and_width(monkeypatch):
     rng = np.random.default_rng(97)
     rule = _random_rule(rng, 2500)
@@ -534,7 +614,7 @@ def test_nufft_on_raw_points_holds_one_batch_of_stencil_factors(monkeypatch):
         finally:
             tracemalloc.stop()
     # The angles, their order and the adjoint's output take about 60 bytes
-    # per point; the whole point set's factors would add about 270 more.
+    # per point; the whole point set's factors would add about 280 more.
     assert max(peaks) <= 100 * n, peaks
 
 
@@ -545,10 +625,11 @@ def test_nufft_on_a_changed_raw_array_gives_the_new_points_values(monkeypatch):
     coeffs.div.values[1:] = rng.standard_normal(flat_size(lmax) - 1)
     pts = _random_points(rng, 2500)
     width = favest.scalar._NUFFT_WIDTH
-    _nufft_setup(lmax + 1, width)  # counted below: the stencil factors only
-    batches = len(favest.legendre._batches(2500, width * width, favest.scalar._STENCIL_ENTRIES))
+    n_fine = 2 * _nufft_setup(lmax + 1, width)[0].n_phi  # counted below: the stencil factors only
     calls = _count_kernel_calls(monkeypatch)
     for _ in range(2):
+        batches = sum(1 for _ in favest.scalar._stencil_bands(pts, n_fine, width))
+        calls.clear()
         got = adjoint_favest(coeffs, pts, path="nufft").values
         want = adjoint_favest(coeffs, pts.copy(), path="direct-scalar").values
         assert _relative(got, want) <= 1e-11

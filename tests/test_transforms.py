@@ -327,7 +327,10 @@ def test_grid_plan_is_built_once_per_lmax(monkeypatch):
     assert calls == [lmax + 1]  # forward and adjoint share the degree-(lmax+1) plan
     forward_favest(samples, rule, lmax + 1)
     assert calls == [lmax + 1, lmax + 2]
-    assert sorted(grid._plans) == [lmax + 1, lmax + 2]
+    assert list(grid._plans) == [lmax + 2]  # the grid keeps its last degree's plan only
+    adjoint_favest(coeffs, rule)
+    assert calls == [lmax + 1, lmax + 2, lmax + 1]
+    assert list(grid._plans) == [lmax + 1]
 
 
 def test_grid_is_immutable():
