@@ -10,6 +10,7 @@ casing boundary indices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,9 +41,7 @@ def flat_index(l: int, m: int) -> int:
 
 def flat_size(lmax: int) -> int:
     """Number of (l, m) pairs with l <= lmax."""
-    if lmax < 0:
-        raise ValueError(f"lmax must be non-negative, got {lmax}")
-    return (lmax + 1) ** 2
+    return (check_int(lmax, "lmax") + 1) ** 2
 
 
 @lru_cache(maxsize=16)
@@ -61,6 +60,13 @@ def degrees_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     ls.flags.writeable = False
     ms.flags.writeable = False
     return ls, ms
+
+
+def check_int(value, name: str, low: int = 0) -> int:
+    """``value`` as an int of at least ``low``, numpy integers included; else ValueError naming ``name``."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def check_unit(points: np.ndarray) -> np.ndarray:
@@ -111,8 +117,7 @@ class ScalarCoefficients:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.lmax < 0:
-            raise ValueError(f"lmax must be non-negative, got {self.lmax}")
+        self.lmax = check_int(self.lmax, "lmax")
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (flat_size(self.lmax),):
             raise ValueError(
@@ -224,7 +229,7 @@ class QuadratureRule:
     copies of ``points`` and ``weights``: the transforms trust the checks made here,
     and ``_stencils`` keeps the NUFFT's separable stencil factors for one fine
     grid (per batch of points, a CSR matrix of phi taps with its transpose and
-    the theta taps, about 280 bytes per point; see ``scalar._stencil_bands``).
+    a dense block of theta taps, 272 to 312 bytes per point; see ``scalar._stencil_bands``).
     """
 
     points: np.ndarray
@@ -245,10 +250,9 @@ class QuadratureRule:
         w.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "exactness", check_int(self.exactness, "exactness"))
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}; expected one of {RULE_KINDS}")
-        if self.exactness < 0:
-            raise ValueError(f"claimed exactness must be non-negative, got {self.exactness}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         total = float(np.sum(w))

@@ -11,8 +11,9 @@ The transforms use them through one sparse operator K per lmax
 coupling it to the scalar tables at (l + dl, m - m2).  The range-validity
 rule lives in K's build: an entry whose source leaves the tables is zero
 and is not stored.  ``apply_coupling`` applies K, ``build_adjoint_coupling``
-its conjugate transpose; ``build_cg_tables`` tabulates the coefficients by
-source index, the reference the tests check K against.
+its conjugate transpose through R^T, cached beside K as a view on its
+buffers; ``build_cg_tables`` tabulates the coefficients by source index,
+the reference the tests check K against.
 
 ``wigner_3j`` is the independent check oracle (Racah's single-sum formula
 with log-factorial accumulation); production paths never call it.
@@ -26,7 +27,7 @@ from math import lgamma
 
 import numpy as np
 
-from .core import ScalarCoefficients, VectorCoefficients, degrees_orders, flat_size
+from .core import ScalarCoefficients, VectorCoefficients, check_int, degrees_orders, flat_size
 from .legendre import _batches
 
 
@@ -164,9 +165,7 @@ def build_cg_tables(lmax: int) -> CGTables:
     source (l +- 1, m +- 1) of each coupling.  Results are cached per lmax
     and shared, hence read-only.
     """
-    if lmax < 0:
-        raise ValueError(f"lmax must be non-negative, got {lmax}")
-    top = lmax + 1
+    top = check_int(lmax, "lmax") + 1
     ls, ms = degrees_orders(top)
     c_up = coupling_weight_c(ls + 1)
     # d(l - 1) for l >= 1; at l = 0 the coefficient itself is zero.
@@ -261,6 +260,12 @@ def coupling_matrix(lmax: int):
     return matrix
 
 
+@lru_cache(maxsize=8)
+def _coupling_transpose(lmax: int):
+    """R^T, kept beside R: a CSC view on :func:`coupling_matrix`'s read-only buffers."""
+    return coupling_matrix(lmax).T
+
+
 def apply_coupling(f: np.ndarray, lmax: int) -> VectorCoefficients:
     """Apply K to the scalar forward tables ``f`` of the Cartesian components.
 
@@ -283,6 +288,6 @@ def build_adjoint_coupling(coeffs: VectorCoefficients) -> np.ndarray:
     """
     lmax = coeffs.lmax
     stacked = np.concatenate([coeffs.div.values, -1j * coeffs.curl.values])  # D_out^H
-    merged = (coupling_matrix(lmax).T @ stacked.view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(-1, 3)
+    merged = (_coupling_transpose(lmax) @ stacked.view(np.float64).reshape(-1, 2)).view(np.complex128).reshape(-1, 3)
     merged[:, 1] *= -1j  # D_in^H
     return merged

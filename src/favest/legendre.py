@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FOUR_PI, check_unit, degrees_orders, to_spherical
+from .core import FOUR_PI, check_int, check_unit, degrees_orders, to_spherical
 
 _INV_SQRT_4PI = 1.0 / np.sqrt(FOUR_PI)
 
@@ -150,8 +150,7 @@ def legendre_table(lmax: int, t: np.ndarray) -> np.ndarray:
     array of shape ``t.shape + (tri_size(lmax),)`` with column
     ``tri_index(l, m)`` holding ``Pbar(l, m, t)``.
     """
-    if lmax < 0:
-        raise ValueError(f"lmax must be non-negative, got {lmax}")
+    lmax = check_int(lmax, "lmax")
     t = np.asarray(t, dtype=np.float64)
     flat = t.reshape(-1)
     # Row of (l, m) in the order-major table, listed in triangular order.

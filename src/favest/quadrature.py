@@ -33,7 +33,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import roots_legendre
 
-from .core import FOUR_PI, QuadratureRule, check_unit
+from .core import FOUR_PI, QuadratureRule, check_int, check_unit
 from .scalar import TensorGrid, forward_sht
 
 _BUNDLED_DESIGNS = {"icosahedron12": ("icosahedron12.txt", 5)}
@@ -48,8 +48,7 @@ def gen_gl_tensor(t: int) -> tuple[TensorGrid, QuadratureRule]:
     Returns the grid (for fast transforms) and its flattened rule; the rule
     keeps a reference to the grid.
     """
-    if t < 0:
-        raise ValueError(f"exactness degree must be non-negative, got {t}")
+    t = check_int(t, "t")
     n_theta = (t + 2) // 2
     n_phi = t + 1
     nodes, gauss_w = roots_legendre(n_theta)
@@ -68,8 +67,7 @@ def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:
     of sum_i w_i Y(l, m, x_i) from its exact value and passing means a
     defect of at most 1e-8.
     """
-    if t < 0:
-        raise ValueError(f"certification degree must be non-negative, got {t}")
+    t = check_int(t, "t")
     sums = forward_sht(np.ones(len(rule), dtype=np.complex128), rule, t).values
     sums[0] -= np.sqrt(FOUR_PI)
     defect = float(np.max(np.abs(sums)))

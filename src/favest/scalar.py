@@ -79,15 +79,16 @@ within ``_BAND_ROWS`` = 6 rows of each other, of at most
 into, a band of at most 18 of the formed rows.  Per batch, the adjoint
 is one sparse product of the points' phi taps (a CSR matrix with 13
 entries per point) with the band's 2n columns, then a sum over the band's
-rows weighted by the theta taps; the forward is the exact transpose, the
-theta taps times the samples, spread by the CSC transpose of the same
-matrix.  After NFFT3's precomputation, the frozen ``QuadratureRule``
-keeps each batch's point indices, band, CSR matrix with its transpose
-(a view on the same buffers), theta taps and first rows, about 280 bytes
-per point, for the last fine grid and width it was transformed at: a
-repeated call on a rule evaluates no kernel and builds no sparse matrix.
-Raw point arrays, which may change between calls, build each batch's
-factors when it is asked for and keep none.
+rows weighted by the theta taps, a dense block of one row per point;
+the forward is the exact transpose, the theta block times the samples,
+spread by the CSC transpose of the same matrix.  After NFFT3's
+precomputation, the frozen ``QuadratureRule`` keeps each batch's point
+indices, band, CSR matrix with its transpose (a view on the same
+buffers) and theta block, 272 to 312 bytes per point, for the last fine
+grid and width it was transformed at: a repeated call on a rule
+evaluates no kernel, builds no sparse matrix and expands no weight
+block.  Raw point arrays, which may change between calls, build each
+batch's factors when it is asked for and keep none.
 
 The route of a scalar transform is decided, and run, in this module alone.
 :func:`forward_sht` and :func:`adjoint_sht`, which the certifier
@@ -108,7 +109,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import QuadratureRule, ScalarCoefficients, check_unit, flat_size, from_spherical
+from .core import QuadratureRule, ScalarCoefficients, check_int, check_unit, flat_size, from_spherical
 from .legendre import _CHUNK_ENTRIES, _batches, _legendre_by_order, _order_phases, _point_chunks
 
 if TYPE_CHECKING:
@@ -146,8 +147,7 @@ class TensorGrid:
             raise ValueError("ring colatitudes must be strictly increasing")
         if not np.all(np.isfinite(w)):
             raise ValueError("ring weights must be finite")
-        if self.n_phi < 1:
-            raise ValueError(f"n_phi must be positive, got {self.n_phi}")
+        object.__setattr__(self, "n_phi", check_int(self.n_phi, "n_phi", 1))
         th.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "ring_thetas", th)
@@ -429,7 +429,7 @@ _NUFFT_WIDTH = 13
 #: A batch of NUFFT stencils holds at most ``_STENCIL_ENTRIES // width**2``
 #: points, whose first stencil rows lie within ``_BAND_ROWS`` rows of each
 #: other; that bounds a call's working memory to a few band-sized blocks.
-#: A rule keeps its batches' separable factors besides, about 280 bytes per
+#: A rule keeps its batches' separable factors besides, 272 to 312 bytes per
 #: point (see :func:`_stencil_bands`).
 _STENCIL_ENTRIES = 1 << 18
 _BAND_ROWS = 6
@@ -473,8 +473,7 @@ def forward_sht(f: np.ndarray, rule: QuadratureRule, lmax: int, path: str = "aut
     ``path`` is one of :data:`PATHS`; "auto" picks the route as the module
     docstring says.  Raises ValueError on non-finite samples.
     """
-    if lmax < 0:
-        raise ValueError(f"lmax must be non-negative, got {lmax}")
+    lmax = check_int(lmax, "lmax")
     vals = np.asarray(f, dtype=np.complex128)
     if vals.shape != (len(rule),):
         raise ValueError(f"sample array of shape {vals.shape} does not match {len(rule)} points")
@@ -588,8 +587,7 @@ class _StencilBatch:
     band: slice  # the fine-grid rows its stencils reach
     phi: csr_array  # (b, n_fine): each point's width kernel values along phi, at their columns
     phi_t: csc_array  # phi's transpose, a view on the same buffers
-    theta: np.ndarray  # (b, width) kernel values along theta
-    rows: np.ndarray  # (b,) int32: each stencil's first row, counted from band.start
+    theta: np.ndarray  # (b, band rows): each point's width kernel values along theta, zero off them
 
 
 def _stencil_factors(points: np.ndarray, n_fine: int, width: int):
@@ -620,20 +618,22 @@ def _stencil_factors(points: np.ndarray, n_fine: int, width: int):
     for lo, hi in zip(edges[:-1], edges[1:]):
         for batch in _batches(hi - lo, width * width, _STENCIL_ENTRIES):
             idx = order[lo:hi][batch]
-            starts, weights = [], []
+            taps = []
             for x, shift in ((theta[idx], width), (phi[idx], 0)):
-                s = x * scale + shift
+                s = (x * scale + shift)[:, None]
+                # The width nodes within width/2 grid steps of the point, and their kernel values.
                 start = np.ceil(s - 0.5 * width)
-                # The width nodes within width/2 grid steps of the point.
-                weights.append(_es_kernel(((s - start)[:, None] - offsets) * (2.0 / width), width))
-                starts.append(start.astype(np.int32))
-            rows, cols = starts
+                z = (s - start - offsets) * (2.0 / width)
+                taps.append(((start + offsets).astype(np.int32), _es_kernel(z, width)))
+            (rows, theta_weights), (cols, phi_weights) = taps
             # In colatitude order the batch's first point has its lowest row, its last the highest.
-            band = slice(int(rows[0]), int(rows[-1]) + width)
+            band = slice(int(rows[0, 0]), int(rows[-1, -1]) + 1)
+            theta_taps = np.zeros((idx.size, band.stop - band.start))
+            np.put_along_axis(theta_taps, rows - band.start, theta_weights, axis=1)
             indptr = np.arange(0, idx.size * width + 1, width, dtype=np.int32)
-            columns = ((cols[:, None] + offsets) % n_fine).reshape(-1)
-            phi_taps = csr_array((weights[1].reshape(-1), columns, indptr), shape=(idx.size, n_fine))
-            yield _StencilBatch(idx, band, phi_taps, phi_taps.T, weights[0], rows - np.int32(band.start))
+            columns = (cols % n_fine).reshape(-1)
+            phi_taps = csr_array((phi_weights.reshape(-1), columns, indptr), shape=(idx.size, n_fine))
+            yield _StencilBatch(idx, band, phi_taps, phi_taps.T, theta_taps)
 
 
 def _stencil_bands(points: np.ndarray, n_fine: int, width: int, rule: QuadratureRule | None = None):
@@ -652,14 +652,6 @@ def _stencil_bands(points: np.ndarray, n_fine: int, width: int, rule: Quadrature
         rule._stencils.clear()
         rule._stencils[n_fine, width] = batches
     return batches
-
-
-def _band_weights(batch: _StencilBatch) -> np.ndarray:
-    """The batch's kernel values along theta as a (b, band rows) block, zero off each stencil."""
-    b, width = batch.theta.shape
-    weights = np.zeros((b, batch.band.stop - batch.band.start))
-    weights[np.arange(b)[:, None], batch.rows[:, None] + np.arange(width)] = batch.theta
-    return weights
 
 
 def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -708,7 +700,7 @@ def _adjoint_nufft_values(
         # Along phi: the band's rows at each point's longitude; then along theta.
         b = batch.idx.size
         near = (batch.phi @ nodes[:, batch.band].reshape(2 * n, -1)).reshape(b, -1, 2 * c)
-        out[batch.idx] = np.einsum("kr,krc->kc", _band_weights(batch), near)
+        out[batch.idx] = np.einsum("kr,krc->kc", batch.theta, near)
     return out.view(np.complex128)
 
 
@@ -733,7 +725,7 @@ def _forward_nufft_values(
     for batch in _stencil_bands(points, 2 * n, width, rule):
         # Each sample along theta over the band's rows, then along phi.
         b = batch.idx.size
-        near = np.einsum("kr,kc->krc", _band_weights(batch), pairs[batch.idx]).reshape(b, -1)
+        near = np.einsum("kr,kc->krc", batch.theta, pairs[batch.idx]).reshape(b, -1)
         nodes[:, batch.band] += (batch.phi_t @ near).reshape(2 * n, -1, 2 * c)
     columns = fft.fft(nodes.view(np.complex128), axis=0, overwrite_x=True)[kept]
     del nodes  # free the fine grid before the theta transform

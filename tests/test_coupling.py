@@ -5,6 +5,7 @@ import pytest
 
 from favest.core import ScalarCoefficients, VectorCoefficients, degrees_orders, flat_index, flat_size
 from favest.coupling import (
+    _coupling_transpose,
     apply_coupling,
     build_adjoint_coupling,
     build_cg_tables,
@@ -271,6 +272,15 @@ def test_coupling_matrix_is_cached_real_and_sparse():
         k.data[0] = 1.0
     with pytest.raises(ValueError):
         coupling_matrix(0)
+
+
+def test_coupling_transpose_is_cached_as_a_view_on_k():
+    lmax = 9
+    k, kt = coupling_matrix(lmax), _coupling_transpose(lmax)
+    assert _coupling_transpose(lmax) is kt and kt.format == "csc"
+    for mine, theirs in ((kt.data, k.data), (kt.indices, k.indices), (kt.indptr, k.indptr)):
+        assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+    assert np.array_equal(kt.toarray(), k.toarray().T)
 
 
 def test_coupling_matrix_build_stages_little_beyond_k():

@@ -204,6 +204,10 @@ def test_tensor_grid_validation():
         TensorGrid(np.array([0.0, 1.0]), np.array([1.0, 1.0]), 4)  # touches pole
     with pytest.raises(ValueError):
         TensorGrid(np.array([0.5]), np.array([1.0]), 0)
+    for bad in (3.5, float("nan"), "3"):
+        with pytest.raises(ValueError, match="n_phi"):
+            TensorGrid(np.array([0.5]), np.array([1.0]), bad)
+    assert TensorGrid(np.array([0.5]), np.array([1.0]), np.int32(3)).n_phi == 3
     grid = TensorGrid(np.array([0.5, 1.0]), np.array([1.0, 1.0]), 3)
     assert grid.n_theta == 2
     assert len(grid) == 6
@@ -411,8 +415,38 @@ def test_nufft_stencils_lie_inside_the_fine_grid():
                 rows = batch.band
                 assert 0 <= rows.start < rows.stop <= n_fine, (lmax, width, rows)
                 assert batch.phi.shape == (batch.idx.size, n_fine)
-                # Each stencil's width rows lie inside its batch's band.
-                assert 0 <= batch.rows.min() and batch.rows.max() + width <= rows.stop - rows.start
+                assert batch.theta.shape == (batch.idx.size, rows.stop - rows.start)
+                # Each stencil's width rows are consecutive and lie inside its batch's band.
+                nonzero = batch.theta != 0.0
+                first = nonzero.argmax(axis=1)
+                assert np.all(nonzero.sum(axis=1) == width) and first.max() + width <= rows.stop - rows.start
+                assert np.all(np.take_along_axis(nonzero, first[:, None] + np.arange(width), axis=1))
+
+
+def test_nufft_stencil_factors_are_the_kernel_at_each_node():
+    rng = np.random.default_rng(113)
+    pts = _awkward_points(rng, 200)  # both poles, and phi just below 2pi
+    theta = np.arccos(pts[:, 2])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    for lmax, width in ((8, 5), (20, 13)):
+        n_fine = 2 * _nufft_setup(lmax, width)[0].n_phi
+        step = 2.0 * np.pi / n_fine
+        for batch in favest.scalar._stencil_bands(pts, n_fine, width):
+            phi_taps = batch.phi.toarray()
+            for k, point in enumerate(batch.idx):
+                (rows,) = np.nonzero(batch.theta[k])
+                (cols,) = np.nonzero(phi_taps[k])
+                assert np.array_equal(rows, np.arange(rows[0], rows[0] + width))
+                # The columns wrap in phi: one run of width consecutive ones, modulo n_fine.
+                assert cols.size == width and np.sum(~np.isin((cols + 1) % n_fine, cols)) == 1
+                # Fine row r sits at theta = (band.start + r - width) * step.
+                z_theta = (theta[point] / step + width - (batch.band.start + rows)) * (2.0 / width)
+                d_phi = (phi[point] - cols * step + np.pi) % (2.0 * np.pi) - np.pi
+                z_phi = d_phi / step * (2.0 / width)
+                assert np.all(np.abs(z_theta) <= 1.0) and np.all(np.abs(z_phi) <= 1.0)
+                got = np.outer(batch.theta[k, rows], phi_taps[k, cols])
+                want = np.outer(favest.scalar._es_kernel(z_theta, width), favest.scalar._es_kernel(z_phi, width))
+                assert np.allclose(got, want, rtol=1e-11, atol=1e-15), (lmax, width, point)
 
 
 def test_nufft_adjoint_rejects_non_unit_points():
@@ -540,21 +574,34 @@ def test_warm_nufft_calls_on_a_rule_build_no_stencil(monkeypatch):
     builds.clear()
     verify_exactness(rule, t)
     assert kernels == [] and builds == []
-    # The vector transforms at scalar degree t: what their NUFFT kernels build
-    # (the coupling operator lies outside them).
-    per_call = []
-    for name in ("_adjoint_nufft_values", "_forward_nufft_values"):
-
-        def counted(*args, _kernel=getattr(favest.scalar, name)):
-            before = len(builds)
-            out = _kernel(*args)
-            per_call.append(len(builds) - before)
-            return out
-
-        monkeypatch.setattr(favest.scalar, name, counted)
+    # The vector transforms at scalar degree t, coupling included: see
+    # test_warm_vector_round_trip_builds_nothing.
     for _ in range(2):
         forward_favest(adjoint_favest(coeffs, rule), rule, lmax)
-    assert kernels == [] and per_call == [0, 0, 0, 0]
+    assert kernels == [] and builds == []
+
+
+@pytest.mark.parametrize(
+    "make_rule, route",
+    [(lambda rng: _random_rule(rng, 3000), "nufft"), (lambda rng: gen_gl_tensor(82)[1], "fast-scalar")],
+    ids=["nufft", "grid"],
+)
+def test_warm_vector_round_trip_builds_nothing(monkeypatch, make_rule, route):
+    rng = np.random.default_rng(127)
+    rule, lmax = make_rule(rng), 40
+    assert favest.scalar._pick_path("auto", rule.grid, lmax + 1, len(rule)) == route
+    coeffs = VectorCoefficients.zeros(lmax)
+    coeffs.div.values[1:] = rng.standard_normal(flat_size(lmax) - 1)
+    coeffs.curl.values[1:] = rng.standard_normal(flat_size(lmax) - 1)
+    want = forward_favest(adjoint_favest(coeffs, rule), rule, lmax)  # cold: plans, factors, K
+    kernels = _count_kernel_calls(monkeypatch)
+    builds = _count_sparse_builds(monkeypatch)
+    for _ in range(2):
+        got = forward_favest(adjoint_favest(coeffs, rule), rule, lmax)
+        assert np.array_equal(got.div.values, want.div.values)
+        assert np.array_equal(got.curl.values, want.curl.values)
+    # No kernel evaluation and no sparse matrix, K's transpose included.
+    assert kernels == [] and builds == []
 
 
 def test_nufft_rule_keeps_its_separable_factors_in_320_bytes_per_point():
@@ -565,8 +612,8 @@ def test_nufft_rule_keeps_its_separable_factors_in_320_bytes_per_point():
     width = favest.scalar._NUFFT_WIDTH
     buffers = {}
     for batch in batches:
-        # Each point keeps its phi taps as a sparse row, and its theta taps.
-        assert batch.phi.nnz == batch.theta.size == width * batch.idx.size
+        # Each point keeps its phi taps as a sparse row, and its theta taps as a row of the band.
+        assert batch.phi.nnz == np.count_nonzero(batch.theta) == width * batch.idx.size
         for value in vars(batch).values():
             arrays = (value.data, value.indices, value.indptr) if hasattr(value, "indptr") else (value,)
             for array in arrays:
@@ -614,7 +661,7 @@ def test_nufft_on_raw_points_holds_one_batch_of_stencil_factors(monkeypatch):
         finally:
             tracemalloc.stop()
     # The angles, their order and the adjoint's output take about 60 bytes
-    # per point; the whole point set's factors would add about 280 more.
+    # per point; the whole point set's factors would add about 310 more.
     assert max(peaks) <= 100 * n, peaks
 
 
