@@ -179,34 +179,29 @@ def test_quadrature_rule_validation():
                        exactness=1, kind="spherical-design")
 
 
-def test_quadrature_rule_exactness_must_be_an_integer():
-    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    w = np.full(2, FOUR_PI / 2)
-    for bad in (float("nan"), 2.5, "3"):
-        with pytest.raises(ValueError, match="exactness"):
-            QuadratureRule(pts, w, exactness=bad)
-    rule = QuadratureRule(pts, w, exactness=np.int64(3))
-    assert rule.exactness == 3 and type(rule.exactness) is int
-
-
-def test_degrees_must_be_integers_where_they_enter():
+def test_integer_arguments_are_checked_where_they_enter():
     from favest.legendre import legendre_table
     from favest.quadrature import verify_exactness
     from favest.scalar import forward_sht
 
+    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    w = np.full(2, FOUR_PI / 2)
     rule = gen_gl_tensor(4)[1]
-    entries = {
-        "flat_size": lambda lmax: flat_size(lmax),
-        "ScalarCoefficients": lambda lmax: ScalarCoefficients(lmax, np.zeros(9)),
-        "forward_sht": lambda lmax: forward_sht(np.ones(len(rule)), rule, lmax),
-        "verify_exactness": lambda lmax: verify_exactness(rule, lmax),
-        "legendre_table": lambda lmax: legendre_table(lmax, np.zeros(2)),
-    }
-    for name, call in entries.items():
-        for bad in (2.5, float("nan"), -1):
-            with pytest.raises(ValueError, match="must be an integer >= 0"):
+    entries = [
+        ("exactness", lambda n: QuadratureRule(pts, w, exactness=n)),
+        ("t", gen_gl_tensor),
+        ("t", lambda n: verify_exactness(rule, n)),
+        ("lmax", flat_size),
+        ("lmax", lambda n: ScalarCoefficients(n, np.zeros(9))),
+        ("lmax", lambda n: forward_sht(np.ones(len(rule)), rule, n)),
+        ("lmax", lambda n: legendre_table(n, np.zeros(2))),
+    ]
+    for name, call in entries:
+        for bad in (2.5, float("nan"), "3", -1):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
                 call(bad)
         call(np.int64(2))  # numpy integers are integers
+    assert type(QuadratureRule(pts, w, exactness=np.int64(3)).exactness) is int
 
 
 def test_quadrature_rule_is_frozen_with_read_only_copies():

@@ -36,14 +36,6 @@ def test_gen_rejects_negative_degree():
         gen_gl_tensor(-1)
 
 
-def test_gen_takes_integer_degrees_only():
-    for bad in (4.5, float("nan")):
-        with pytest.raises(ValueError, match="t must be an integer"):
-            gen_gl_tensor(bad)
-    grid, rule = gen_gl_tensor(np.int64(4))
-    assert rule.exactness == 4 and grid.n_phi == 5 and len(rule) == len(gen_gl_tensor(4)[1])
-
-
 @pytest.mark.parametrize("t", [0, 1, 2, 3, 7, 10, 16, 33])
 def test_generated_rules_certify(t):
     _, rule = gen_gl_tensor(t)
