@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from . import io as fio
 from .core import TangentFieldSamples
-from .diagnostics import bench, stability_ratios
+from .diagnostics import BenchRecord, StabilityReport, bench, stability_ratios
 from .fields import TANGENT_FIELDS, get_field
 from .quadrature import gen_gl_tensor, load_design, verify_exactness
 from .transforms import (
@@ -125,16 +126,7 @@ def cmd_repeat(args) -> int:
     rule, rule_name = _resolve_rule(args, lmax)
     samples = _field_samples(args.field, rule)
     errors = repeat_transform_errors(samples, rule, lmax)
-    header = (
-        "field",
-        "rule",
-        "L",
-        "N",
-        "first_vs_input",
-        "second_vs_input",
-        "second_vs_first",
-        "coefficient_drift",
-    )
+    header = ("field", "rule", "L", "N", *errors._fields)
     fio.write_csv(args.out, header, [(args.field, rule_name, lmax, len(rule), *errors)])
     print(
         f"repeat field {args.field} L={lmax}: |T1-T0|={errors.first_vs_input:.6e} "
@@ -145,57 +137,22 @@ def cmd_repeat(args) -> int:
 
 def cmd_bench(args) -> int:
     records = bench(args.degrees, repetitions=args.reps, seed=args.seed)
-    header = (
-        "lmax",
-        "n_points",
-        "n_coeffs",
-        "forward_seconds",
-        "adjoint_seconds",
-        "forward_ratio",
-        "adjoint_ratio",
-    )
-    rows = [
-        (
-            r.lmax,
-            r.n_points,
-            r.n_coeffs,
-            r.forward_seconds,
-            r.adjoint_seconds,
-            r.forward_ratio,
-            r.adjoint_ratio,
-        )
-        for r in records
-    ]
-    fio.write_csv(args.out, header, rows)
+    rows = [astuple(r) for r in records]
+    fio.write_csv(args.out, [f.name for f in fields(BenchRecord)], rows)
     print(f"wrote {len(rows)} bench rows to {args.out}")
     return 0
 
 
 def cmd_stability(args) -> int:
     rng = np.random.default_rng(args.seed)
+    per_point = ("ratio_div_per_point", "ratio_curl_per_point")
     rows = []
     for n in args.n_list:
         if n < 1:
             raise ValueError(f"point counts must be >= 1, got {n}")
         report = stability_ratios(args.degree, _random_sphere(rng, n))
-        rows.append(
-            (
-                report.lmax,
-                report.n_points,
-                report.ratio_div,
-                report.ratio_curl,
-                report.ratio_div_per_point,
-                report.ratio_curl_per_point,
-            )
-        )
-    header = (
-        "lmax",
-        "n_points",
-        "ratio_div",
-        "ratio_curl",
-        "ratio_div_per_point",
-        "ratio_curl_per_point",
-    )
+        rows.append((*astuple(report), *(getattr(report, name) for name in per_point)))
+    header = (*(f.name for f in fields(StabilityReport)), *per_point)
     fio.write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} stability rows to {args.out}")
     return 0

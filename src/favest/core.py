@@ -10,6 +10,7 @@ casing boundary indices.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,11 +32,13 @@ def flat_index(l: int, m: int) -> int:
         Degree, ``l >= 0``.
     m : int
         Order with ``|m| <= l``.
+
+    Raises ValueError naming the argument unless both are integers in range.
     """
-    if l < 0:
-        raise ValueError(f"degree must be non-negative, got l={l}")
-    if abs(m) > l:
-        raise ValueError(f"order out of range: |m|={abs(m)} > l={l}")
+    l = check_int(l, "l")
+    m = check_int(m, "m", -l)
+    if m > l:
+        raise ValueError(f"order out of range: m={m} > l={l}")
     return l * l + l + m
 
 
@@ -62,9 +65,12 @@ def degrees_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, ms
 
 
-def check_int(value, name: str, low: int = 0) -> int:
-    """``value`` as an int of at least ``low``, numpy integers included; else ValueError naming ``name``."""
-    if not isinstance(value, numbers.Integral) or value < low:
+def check_int(value, name: str, low: float = 0) -> int:
+    """``value`` as an int of at least ``low``, numpy integers included; else ValueError naming ``name``.
+
+    A bool is not taken for an integer.  ``low=-math.inf`` accepts any integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -131,7 +137,12 @@ class ScalarCoefficients:
         return cls(lmax, np.zeros(flat_size(lmax), dtype=np.complex128))
 
     def get(self, l: int, m: int) -> complex:
-        """Coefficient at (l, m); zero for any out-of-range pair."""
+        """Coefficient at (l, m); zero for any out-of-range pair.
+
+        Raises ValueError naming the argument unless l and m are integers.
+        """
+        l = check_int(l, "l", -math.inf)
+        m = check_int(m, "m", -math.inf)
         if l < 0 or l > self.lmax or abs(m) > l:
             return 0.0 + 0.0j
         return complex(self.values[l * l + l + m])

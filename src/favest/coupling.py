@@ -200,7 +200,7 @@ _CURL_KINDS = ((0, 1), (0, 0), (0, -1))
 _STAGING_ENTRIES = 1 << 16
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed, so that 2.0 or True reach the check, not a cached 2 or 1
 def coupling_matrix(lmax: int):
     """The real matrix R of the forward coupling K = D_out R D_in; cached, read-only.
 
@@ -222,8 +222,7 @@ def coupling_matrix(lmax: int):
     """
     from scipy.sparse import csr_array  # deferred: adds about 24 ms to import favest
 
-    if lmax < 1:
-        raise ValueError(f"vector coupling needs lmax >= 1, got {lmax}")
+    lmax = check_int(lmax, "lmax", 1)
     ls, ms = degrees_orders(lmax)
     n = ls.size
     # Filled in batches of rows, so that the dense staging of a batch stays

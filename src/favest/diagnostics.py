@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScalarCoefficients, TangentFieldSamples, VectorCoefficients, flat_size
+from .core import ScalarCoefficients, TangentFieldSamples, VectorCoefficients, check_int, flat_size
 from .coupling import cg_explicit, coupling_weight_c, coupling_weight_d
 from .legendre import ylm_table
 from .quadrature import gen_gl_tensor
@@ -109,10 +109,9 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
 
     Accepts a QuadratureRule or a raw point array; weights never enter.
     Indices scan 1 <= l <= lmax, 1 <= |m| <= l; triples whose envelope
-    underflows are skipped.
+    underflows are skipped.  Raises ValueError unless lmax is an integer >= 1.
     """
-    if lmax < 1:
-        raise ValueError(f"need lmax >= 1, got {lmax}")
+    lmax = check_int(lmax, "lmax", 1)
     points = _target(rule_or_points)[0]
     worst_div = 0.0
     worst_curl = 0.0
@@ -131,7 +130,11 @@ def stability_ratios(lmax: int, rule_or_points) -> StabilityReport:
 
 
 def component_envelope_check(lmax: int, rule_or_points) -> float:
-    """Largest component magnitude as a fraction of its envelope (<= 1)."""
+    """Largest component magnitude as a fraction of its envelope (<= 1).
+
+    Raises ValueError unless lmax is an integer >= 1.
+    """
+    lmax = check_int(lmax, "lmax", 1)
     points = _target(rule_or_points)[0]
     worst = 0.0
     for div, curl, env_div, env_curl in _iter_envelopes(lmax, points):
@@ -167,15 +170,14 @@ def bench(
     Each degree uses its default Gauss-Legendre rule of exactness 2(L+1)
     and seeded random data; per-degree times are medians over
     ``repetitions`` runs, and each record carries the ratio to the
-    previous degree's time (nan for the first).
+    previous degree's time (nan for the first).  Raises ValueError unless
+    each degree and ``repetitions`` is an integer >= 1.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be positive")
+    degrees = [check_int(lmax, "degrees", 1) for lmax in degrees]
+    repetitions = check_int(repetitions, "repetitions", 1)
     rng = np.random.default_rng(seed)
     records: list[BenchRecord] = []
     for lmax in degrees:
-        if lmax < 1:
-            raise ValueError(f"bench degrees must be >= 1, got {lmax}")
         grid, rule = gen_gl_tensor(2 * (lmax + 1))
         values = rng.standard_normal((len(rule), 3)) + 1j * rng.standard_normal((len(rule), 3))
         samples = TangentFieldSamples(rule.points, values)

@@ -192,10 +192,11 @@ def eval_ylm(l: int, m: int, points: np.ndarray) -> np.ndarray:
     """Single harmonic Y(l, m) at one point or a batch of points.
 
     Out-of-range orders (|m| > l) evaluate to zero, matching the
-    coefficient-table convention.
+    coefficient-table convention.  Raises ValueError naming the argument
+    unless l is an integer >= 0 and m an integer.
     """
-    if l < 0:
-        raise ValueError(f"degree must be non-negative, got l={l}")
+    l = check_int(l, "l")
+    m = check_int(m, "m", -math.inf)
     single = np.asarray(points).ndim == 1
     pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     if abs(m) > l:

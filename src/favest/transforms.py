@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import QuadratureRule, TangentFieldSamples, VectorCoefficients
+from .core import QuadratureRule, TangentFieldSamples, VectorCoefficients, check_int
 from .coupling import apply_coupling, build_adjoint_coupling
 from .scalar import _adjoint_columns, _forward_columns
 
@@ -76,10 +76,10 @@ def forward_favest(
         Scalar route, picked for "auto" as the ``scalar`` module docstring
         says.  "nufft" and "direct-scalar" run on any rule.
 
-    Raises ValueError on non-finite sample values.
+    Raises ValueError on non-finite sample values, and unless lmax is an
+    integer >= 1.
     """
-    if lmax < 1:
-        raise ValueError(f"vector transforms need lmax >= 1, got {lmax}")
+    lmax = check_int(lmax, "lmax", 1)
     if samples.points is not rule.points and (
         samples.points.shape != rule.points.shape
         or not np.allclose(samples.points, rule.points, rtol=0.0, atol=1e-12)

@@ -31,7 +31,9 @@ from .core import (
     ScalarCoefficients,
     TangentFieldSamples,
     VectorCoefficients,
+    check_int,
     check_unit,
+    flat_index,
     flat_size,
 )
 from . import legendre
@@ -97,9 +99,13 @@ def _families_from_table(l: int, m, table: np.ndarray, lmax: int) -> tuple[np.nd
 
 
 def eval_vsh(l: int, m: int, points: np.ndarray) -> VshValue:
-    """Evaluate both tangent harmonics of index (l, m) at the given points."""
-    if l < 1 or abs(m) > l:
-        raise ValueError(f"need l >= 1 and |m| <= l, got (l, m) = ({l}, {m})")
+    """Evaluate both tangent harmonics of index (l, m) at the given points.
+
+    Raises ValueError naming the argument unless l is an integer >= 1 and
+    m an integer with |m| <= l.
+    """
+    l = check_int(l, "l", 1)
+    flat_index(l, m)  # checks the order
     single = np.asarray(points).ndim == 1
     pts = check_unit(np.atleast_2d(np.asarray(points, dtype=np.float64)))
     div, curl = _families_from_table(l, m, ylm_table(l + 1, pts), l + 1)
@@ -114,10 +120,10 @@ def forward_vsht_direct(
     """Vector coefficients by direct quadrature against each harmonic.
 
     Computes a(l, m) = sum_k w_k conj(ydiv(l, m, x_k)) . T_k and the curl
-    analogue for every 1 <= l <= lmax, |m| <= l.
+    analogue for every 1 <= l <= lmax, |m| <= l.  Raises ValueError unless
+    lmax is an integer >= 1.
     """
-    if lmax < 1:
-        raise ValueError(f"vector transforms need lmax >= 1, got {lmax}")
+    lmax = check_int(lmax, "lmax", 1)
     if samples.points.shape != rule.points.shape or not np.allclose(
         samples.points, rule.points, rtol=0.0, atol=1e-12
     ):

@@ -281,7 +281,10 @@ class TestTables:
         code = main(["repeat", "--field", "a", "--degree", "8", "--out", str(out)])
         assert code == 0
         rows = _csv_rows(out)
-        assert rows[0][4] == "first_vs_input"
+        assert rows[0] == [
+            "field", "rule", "L", "N", "first_vs_input", "second_vs_input",
+            "second_vs_first", "coefficient_drift",
+        ]
         assert float(rows[1][6]) <= 1e-9
         assert "drift=" in capsys.readouterr().out
 
@@ -290,7 +293,10 @@ class TestTables:
         code = main(["bench", "--degrees", "4 8", "--reps", "1", "--out", str(out)])
         assert code == 0
         rows = _csv_rows(out)
-        assert rows[0][-1] == "adjoint_ratio"
+        assert rows[0] == [
+            "lmax", "n_points", "n_coeffs", "forward_seconds", "adjoint_seconds",
+            "forward_ratio", "adjoint_ratio",
+        ]
         assert rows[1][5] == "nan"  # no previous degree to compare against
         assert float(rows[2][5]) > 0.0
 
@@ -301,6 +307,10 @@ class TestTables:
         )
         assert code == 0
         rows = _csv_rows(out)
+        assert rows[0] == [
+            "lmax", "n_points", "ratio_div", "ratio_curl",
+            "ratio_div_per_point", "ratio_curl_per_point",
+        ]
         assert len(rows) == 3
         assert rows[1][1] == "50"
         bound = np.sqrt(3.0) * (1.0 + 1e-9)

@@ -180,28 +180,61 @@ def test_quadrature_rule_validation():
 
 
 def test_integer_arguments_are_checked_where_they_enter():
-    from favest.legendre import legendre_table
+    from favest.coupling import coupling_matrix
+    from favest.diagnostics import bench, component_envelope_check, stability_ratios
+    from favest.legendre import eval_ylm, legendre_table
     from favest.quadrature import verify_exactness
     from favest.scalar import forward_sht
+    from favest.transforms import forward_favest, repeat_transform_errors, roundtrip
+    from favest.vsh import eval_vsh, forward_vsht_direct
 
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     w = np.full(2, FOUR_PI / 2)
     rule = gen_gl_tensor(4)[1]
-    entries = [
-        ("exactness", lambda n: QuadratureRule(pts, w, exactness=n)),
-        ("t", gen_gl_tensor),
-        ("t", lambda n: verify_exactness(rule, n)),
-        ("lmax", flat_size),
-        ("lmax", lambda n: ScalarCoefficients(n, np.zeros(9))),
-        ("lmax", lambda n: forward_sht(np.ones(len(rule)), rule, n)),
-        ("lmax", lambda n: legendre_table(n, np.zeros(2))),
+    samples = TangentFieldSamples(rule.points, np.ones((len(rule), 3)))
+    table = ScalarCoefficients(2, np.zeros(9))
+    entries = [  # (argument, lower bound, call)
+        ("exactness", 0, lambda n: QuadratureRule(pts, w, exactness=n)),
+        ("t", 0, gen_gl_tensor),
+        ("t", 0, lambda n: verify_exactness(rule, n)),
+        ("lmax", 0, flat_size),
+        ("lmax", 0, lambda n: ScalarCoefficients(n, np.zeros(9))),
+        ("lmax", 0, lambda n: forward_sht(np.ones(len(rule)), rule, n)),
+        ("lmax", 0, lambda n: legendre_table(n, np.zeros(2))),
+        ("l", 0, lambda n: flat_index(n, 0)),
+        ("l", 0, lambda n: eval_ylm(n, 0, pts)),
+        ("l", 1, lambda n: eval_vsh(n, 0, pts)),
+        ("lmax", 1, coupling_matrix),
+        ("lmax", 1, lambda n: forward_favest(samples, rule, n)),
+        ("lmax", 1, lambda n: roundtrip(samples, rule, n)),
+        ("lmax", 1, lambda n: repeat_transform_errors(samples, rule, n)),
+        ("lmax", 1, lambda n: forward_vsht_direct(samples, rule, n)),
+        ("lmax", 1, lambda n: stability_ratios(n, pts)),
+        ("lmax", 1, lambda n: component_envelope_check(n, pts)),
+        ("degrees", 1, lambda n: bench([n], repetitions=1)),
+        ("repetitions", 1, lambda n: bench([], repetitions=n)),
     ]
-    for name, call in entries:
-        for bad in (2.5, float("nan"), "3", -1):
-            with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+    for name, low, call in entries:
+        for bad in (2.5, np.float64(3.0), float("nan"), "3", low - 1, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= {low}"):
                 call(bad)
         call(np.int64(2))  # numpy integers are integers
     assert type(QuadratureRule(pts, w, exactness=np.int64(3)).exactness) is int
+    # -1 is an order, and get reads zero at any degree outside the table,
+    # so these arguments have their own bad values
+    any_sign = [
+        ("m", lambda m: flat_index(2, m)),
+        ("m", lambda m: eval_ylm(2, m, pts)),
+        ("m", lambda m: eval_vsh(2, m, pts)),
+        ("m", lambda m: table.get(2, m)),
+        ("l", lambda l: table.get(l, 0)),
+    ]
+    for name, call in any_sign:
+        for bad in (0.5, float("nan"), "1", True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                call(bad)
+        call(np.int64(-1))
+    assert flat_index(np.int64(2), np.int64(-1)) == 5
 
 
 def test_quadrature_rule_is_frozen_with_read_only_copies():
