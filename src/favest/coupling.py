@@ -200,7 +200,7 @@ _CURL_KINDS = ((0, 1), (0, 0), (0, -1))
 _STAGING_ENTRIES = 1 << 16
 
 
-@lru_cache(maxsize=8, typed=True)  # typed, so that 2.0 or True reach the check, not a cached 2 or 1
+@lru_cache(maxsize=8, typed=True)  # typed: lmax=3.0 or lmax=True must not hit a cached lmax=3 or 1
 def coupling_matrix(lmax: int):
     """The real matrix R of the forward coupling K = D_out R D_in; cached, read-only.
 

@@ -205,6 +205,7 @@ def test_integer_arguments_are_checked_where_they_enter():
         ("l", 0, lambda n: eval_ylm(n, 0, pts)),
         ("l", 1, lambda n: eval_vsh(n, 0, pts)),
         ("lmax", 1, coupling_matrix),
+        ("lmax", 1, lambda n: coupling_matrix(lmax=n)),
         ("lmax", 1, lambda n: forward_favest(samples, rule, n)),
         ("lmax", 1, lambda n: roundtrip(samples, rule, n)),
         ("lmax", 1, lambda n: repeat_transform_errors(samples, rule, n)),
@@ -214,6 +215,7 @@ def test_integer_arguments_are_checked_where_they_enter():
         ("degrees", 1, lambda n: bench([n], repetitions=1)),
         ("repetitions", 1, lambda n: bench([], repetitions=n)),
     ]
+    coupling_matrix(lmax=1), coupling_matrix(lmax=3)  # cache entries that True and 3.0 must miss
     for name, low, call in entries:
         for bad in (2.5, np.float64(3.0), float("nan"), "3", low - 1, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer >= {low}"):
