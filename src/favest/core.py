@@ -47,7 +47,7 @@ def flat_size(lmax: int) -> int:
     return (check_int(lmax, "lmax") + 1) ** 2
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: lmax=2.0 or lmax=True must not hit a cached 2 or 1
 def degrees_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Return integer arrays (ls, ms) listing (l, m) in flat order.
 

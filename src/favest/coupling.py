@@ -157,7 +157,7 @@ class CGTables:
     d: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed, as coupling_matrix
 def build_cg_tables(lmax: int) -> CGTables:
     """Tabulate the six xi and three mu coupling arrays for degree lmax.
 

@@ -14,16 +14,16 @@ Gram integrands reach degree 2(L+1).
 The sums are the degree-t scalar forward transform of f = 1 on the rule,
 F(l, m) = sum_i w_i conj(Y(l, m, x_i)), whose moduli equal those of the
 sums above: ``scalar.forward_sht`` with ``path="auto"``, which picks the
-route as the ``scalar`` module docstring says.  A rule whose grid has
-n_phi >= 2t + 1 is certified on the FFT path (``QuadratureRule`` ties that
-grid to the points and weights, to 1e-12); a Gauss-Legendre rule at its own
-exactness has n_phi = t + 1, so it, like any rule without a grid, takes
-the NUFFT in O(t**3 + N) for N points, or the direct sums, O(N * t**2),
-below the NUFFT's crossover.  The NUFFT's rounding noise stays far below
-the 1e-8 pass threshold: the Gauss-Legendre rules up to t = 140 read
-defects of at most 3e-11 on it (3.0e-11 at t = 94; 2.0e-12 at t = 140,
-where the direct sums read 1.5e-13).  A rule keeps the NUFFT's stencil
-factors, so certifying it again, at the same degree, rebuilds none of them.
+route as the ``scalar`` module docstring says.  A rule with a grid, such as
+a Gauss-Legendre rule at its own exactness (n_phi = t + 1, whose orders
+above t/2 share ring DFT bins), is certified on the FFT path
+(``QuadratureRule`` ties that grid to the points and weights, to 1e-12);
+a rule without one takes the NUFFT in O(t**3 + N) for N points, or the
+direct sums, O(N * t**2), below the NUFFT's crossover.  The rounding noise
+stays far below the 1e-8 pass threshold: the Gauss-Legendre rules up to
+t = 140 read defects of at most 2.2e-13 on the FFT path (1.5e-13 at
+t = 140).  A rule keeps the NUFFT's stencil factors, and a grid its plan,
+so certifying it again, at the same degree, rebuilds none of them.
 """
 
 from __future__ import annotations

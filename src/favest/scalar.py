@@ -14,8 +14,11 @@ as a temporary the kernel may overwrite.
 The direct variants accept arbitrary points; the fast variants require an
 iso-latitude tensor grid and replace the longitudinal sums by FFTs, with the
 per-ring convention F_m = (2pi/n_phi) * sum_j f_j exp(-i*m*phi_j) absorbed
-into the ring weights.  Orders above the grid's Nyquist limit alias (m and
-m - n_phi share a DFT bin), hence the n_phi >= 2L+1 precondition.
+into the ring weights.  On equispaced longitudes exp(i*m*phi_j) depends on
+m mod n_phi only, so one ring DFT serves every order on any n_phi: when
+n_phi < 2*lmax + 1, orders m and m + n_phi share a bin, which the forward
+reads for both and the adjoint sums them into, as libsharp does on
+HEALPix's polar rings (Reinecke & Seljebotn, A&A 554, A112, 2013).
 
 Both variants work order by order.  The direct path batches points so that
 each batch's order-major Legendre table (``legendre._legendre_by_order``)
@@ -96,9 +99,9 @@ The route of a scalar transform is decided, and run, in this module alone.
 transforms run their three columns through the private pair behind them,
 :func:`_forward_columns` / :func:`_adjoint_columns`.
 ``path`` is one of :data:`PATHS`.  ``path="auto"`` takes the fast path on
-a grid with n_phi >= 2*degree + 1 (a rule's own grid, if it has one), else
-the NUFFT from scalar degree 33 and 2000 points on (:func:`_nufft_pays`),
-where it measured faster than the direct sums, else the direct sums.
+a grid (a rule's own grid, if it has one), else the NUFFT from scalar
+degree 33 and 2000 points on (:func:`_nufft_pays`), where it measured
+faster than the direct sums, else the direct sums.
 """
 
 from __future__ import annotations
@@ -251,11 +254,6 @@ def _adjoint_direct_values(values: np.ndarray, lmax: int, points: np.ndarray) ->
     return np.ascontiguousarray(out.T).view(np.complex128)
 
 
-def _has_bandwidth(grid: TensorGrid, lmax: int) -> bool:
-    """Whether no order up to lmax aliases on the grid: n_phi >= 2*lmax + 1."""
-    return grid.n_phi >= 2 * lmax + 1
-
-
 #: Two rings pair when their cosines cancel to within this: 8 ulp of 1.
 _MIRROR_TOL = 8.0 * np.finfo(np.float64).eps
 #: A plan fills from kernel tables of an eighth of its rows, held between
@@ -273,7 +271,7 @@ class _GridPlan:
     mirrors: np.ndarray  # (pairs,) the mirrored ring of each paired row
     even: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m even
     odd: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m odd
-    starts: list[int]  # per order m: its first accumulator row
+    starts: tuple[int, ...]  # per order m: its first accumulator row
     slots: np.ndarray  # flat (l, m) -> accumulator slot 2 * row + (m < 0)
     sources: np.ndarray  # accumulator slot -> flat (l, m) or (l, -m)
     signs: np.ndarray  # per flat (l, m): (-1)**m for m < 0, else 1
@@ -288,16 +286,13 @@ def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     values are filled straight from the kernel, one batch of rows at a
     time, into two contiguous blocks per order m: the degrees with l - m
     even and those with l - m odd.  The accumulator holds, per order, the
-    even then the odd degrees, each row with the columns of m and of -m.
+    even then the odd degrees, each row with the columns of m and of -m;
+    its layout depends on lmax alone, so plans share it.
     The grid keeps the plan of one lmax, replaced when another is asked
     for, as a rule keeps its NUFFT stencils for one degree.
     """
     plan = grid._plans.get(lmax)
     if plan is None:
-        if not _has_bandwidth(grid, lmax):
-            raise ValueError(
-                f"fast path needs n_phi >= 2*lmax+1 = {2 * lmax + 1}, grid has n_phi={grid.n_phi}"
-            )
         grid._plans.clear()  # free the old plan before the new one is built
         plan = _build_plan(grid, lmax)
         grid._plans[lmax] = plan
@@ -312,8 +307,12 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     south = n - 1 - north
     rings = np.r_[north, np.setdiff1d(np.arange(n), np.r_[north, south])]
 
-    even = [np.empty((rings.size, (lmax - m) // 2 + 1)) for m in range(lmax + 1)]
-    odd = [np.empty((rings.size, (lmax - m + 1) // 2)) for m in range(lmax + 1)]
+    # Every block is a view on one buffer: a plan is one allocation, not 2(lmax + 1) heap chunks.
+    widths = [w for m in range(lmax + 1) for w in ((lmax - m) // 2 + 1, (lmax - m + 1) // 2)]
+    ends = np.cumsum([0] + widths) * rings.size
+    buffer = np.empty(ends[-1])
+    blocks = [buffer[a:b].reshape(rings.size, w) for a, b, w in zip(ends[:-1], ends[1:], widths)]
+    even, odd = blocks[0::2], blocks[1::2]
     per_row = (lmax + 1) ** 2
     limit = min(_CHUNK_ENTRIES, max(_PLAN_ENTRIES, -(-rings.size // 8) * per_row))
     for batch in _batches(rings.size, per_row, limit):
@@ -324,7 +323,12 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
         del q  # free the table before the next batch allocates its own
     for block in even + odd:
         block.flags.writeable = False
+    return _GridPlan(rings, south, even, odd, *_accumulator_layout(lmax))
 
+
+@lru_cache(maxsize=4, typed=True)
+def _accumulator_layout(lmax: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """A plan's (starts, slots, sources, signs): the accumulator's layout for lmax, shared by plans."""
     # Per order m, the accumulator holds its even degrees, then its odd ones.
     degrees = [np.r_[m : lmax + 1 : 2, m + 1 : lmax + 1 : 2] for m in range(lmax + 1)]
     ls = np.concatenate(degrees)
@@ -334,24 +338,18 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     slots[sources[1::2]] = np.arange(1, sources.size, 2)
     slots[sources[0::2]] = np.arange(0, sources.size, 2)  # m = 0 reads the +m slot
     orders = np.concatenate([np.arange(-l, l + 1) for l in range(lmax + 1)])
-    return _GridPlan(
-        rings=rings,
-        mirrors=south,
-        even=even,
-        odd=odd,
-        starts=np.cumsum([0] + [d.size for d in degrees[:-1]]).tolist(),
-        slots=slots,
-        sources=sources,
-        signs=np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0),
-    )
+    signs = np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
+    for index in (slots, sources, signs):
+        index.flags.writeable = False
+    return tuple(np.cumsum([0] + [d.size for d in degrees[:-1]]).tolist()), slots, sources, signs
 
 
 def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, lmax: int) -> np.ndarray:
-    """Order-major (lmax + 1, rings, 2, c): the DFT bins m and -m of the rings."""
-    n_phi, c = spectrum.shape[1:]
+    """Order-major (lmax + 1, rings, 2, c): the DFT bins m and -m of the rings, modulo the width."""
+    width, c = spectrum.shape[1:]
     part = np.empty((lmax + 1, rings.size, 2, c), dtype=np.complex128)
     part[:, :, 0] = spectrum[rings, : lmax + 1].transpose(1, 0, 2)
-    negative = spectrum[rings, n_phi - 1 : n_phi - 1 - lmax : -1]  # bins -1, ..., -lmax
+    negative = spectrum[rings, width - 1 : width - 1 - lmax : -1]  # bins -1, ..., -lmax
     part[1:, :, 1] = negative.transpose(1, 0, 2)
     part[0, :, 1] = part[0, :, 0]  # order 0 has one bin; its unused -m half stays defined
     return part
@@ -359,10 +357,10 @@ def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, lmax: int) -> np.nda
 
 def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, lmax: int) -> None:
     """Write order-major real pairs (lmax + 1, rings, 4c) to the rings' bins m and -m."""
-    n_phi, c = spectrum.shape[1:]
+    width, c = spectrum.shape[1:]
     part = part.view(np.complex128).reshape(lmax + 1, rings.size, 2, c)
     spectrum[rings, : lmax + 1] = part[:, :, 0].transpose(1, 0, 2)
-    spectrum[rings, n_phi - 1 : n_phi - 1 - lmax : -1] = part[1:, :, 1].transpose(1, 0, 2)
+    spectrum[rings, width - 1 : width - 1 - lmax : -1] = part[1:, :, 1].transpose(1, 0, 2)
 
 
 def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
@@ -372,6 +370,9 @@ def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarr
     plan = _plan(grid, lmax)
     # Ring DFT, sum_j f_j exp(-2pi i j m / n_phi), in f's memory.
     spectrum = fft.fft(f.reshape(grid.n_theta, grid.n_phi, -1), axis=1, overwrite_x=True)
+    folds = -(-(2 * lmax + 1) // grid.n_phi)  # periods that hold the bins of orders -lmax..lmax
+    if folds > 1:  # orders m and m + n_phi share a bin: repeat the spectrum past -lmax
+        spectrum = np.tile(spectrum, (1, folds, 1))
     total = _gather_orders(spectrum, plan.rings, lmax)
     mirror = _gather_orders(spectrum, plan.mirrors, lmax)
     # Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t): the even degrees read
@@ -415,10 +416,13 @@ def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.
         np.matmul(odd, coeffs[mid : mid + odd.shape[1]], out=odd_part)
         np.subtract(total[m, :pairs], odd_part[:pairs], out=mirror[m])
         total[m] += odd_part
-    spectrum = np.zeros((grid.n_theta, grid.n_phi, c), dtype=np.complex128)
+    folds = -(-(2 * lmax + 1) // grid.n_phi)  # as in the forward
+    spectrum = np.zeros((grid.n_theta, folds * grid.n_phi, c), dtype=np.complex128)
     _scatter_orders(spectrum, plan.rings, total, lmax)
     _scatter_orders(spectrum, plan.mirrors, mirror, lmax)
     del total, mirror
+    if folds > 1:  # add the orders that share a bin
+        spectrum = spectrum.reshape(grid.n_theta, folds, grid.n_phi, c).sum(axis=1)
     # norm="forward" leaves the inverse unscaled: the plain sum over orders.
     out = fft.ifft(spectrum, axis=1, norm="forward", overwrite_x=True)
     return out.reshape(len(grid), values.shape[1])
@@ -451,10 +455,9 @@ PATHS = ("auto", "direct-scalar", "fast-scalar", "nufft")
 def _pick_path(path: str, grid: TensorGrid | None, degree: int, n_points: int) -> str:
     """Name the route of a degree-``degree`` scalar transform on n_points points.
 
-    "auto" takes "fast-scalar" when the grid has the bandwidth, else
-    "nufft" where :func:`_nufft_pays` says so, else "direct-scalar".  An
-    explicit route is kept; "fast-scalar" without a grid raises ValueError,
-    and on a grid without the bandwidth :func:`_plan` raises it.
+    "auto" takes "fast-scalar" on a grid, else "nufft" where
+    :func:`_nufft_pays` says so, else "direct-scalar".  An explicit route
+    is kept; "fast-scalar" without a grid raises ValueError.
     """
     if path not in PATHS:
         raise ValueError(f"unknown path {path!r}; expected one of {PATHS}")
@@ -462,7 +465,7 @@ def _pick_path(path: str, grid: TensorGrid | None, degree: int, n_points: int) -
         raise ValueError("fast-scalar path requires a rule with tensor-grid structure")
     if path != "auto":
         return path
-    if grid is not None and _has_bandwidth(grid, degree):
+    if grid is not None:
         return "fast-scalar"
     return "nufft" if _nufft_pays(degree, n_points) else "direct-scalar"
 

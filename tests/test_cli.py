@@ -60,6 +60,21 @@ class TestQuad:
         assert main(["quad", "check", "--file", str(path), "--exactness", "16"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_check_takes_the_fft_path_on_a_gl_file(self, tmp_path, monkeypatch):
+        # At its own exactness the rule has n_phi = t + 1 and is certified on its grid.
+        routes = []
+        for route in ("direct", "nufft", "fast"):
+            name = f"_forward_{route}_values"
+
+            def record(*args, _fn=getattr(favest.scalar, name), _route=route):
+                routes.append(_route)
+                return _fn(*args)
+
+            monkeypatch.setattr(favest.scalar, name, record)
+        path = _write_gl(tmp_path, 16)
+        assert main(["quad", "check", "--file", str(path), "--exactness", "16"]) == 0
+        assert routes == ["fast"]
+
     def test_check_fails_random_points(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((200, 3))

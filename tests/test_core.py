@@ -180,7 +180,7 @@ def test_quadrature_rule_validation():
 
 
 def test_integer_arguments_are_checked_where_they_enter():
-    from favest.coupling import coupling_matrix
+    from favest.coupling import build_cg_tables, coupling_matrix
     from favest.diagnostics import bench, component_envelope_check, stability_ratios
     from favest.legendre import eval_ylm, legendre_table
     from favest.quadrature import verify_exactness
@@ -198,6 +198,10 @@ def test_integer_arguments_are_checked_where_they_enter():
         ("t", 0, gen_gl_tensor),
         ("t", 0, lambda n: verify_exactness(rule, n)),
         ("lmax", 0, flat_size),
+        ("lmax", 0, degrees_orders),
+        ("lmax", 0, lambda n: degrees_orders(lmax=n)),
+        ("lmax", 0, build_cg_tables),
+        ("lmax", 0, lambda n: build_cg_tables(lmax=n)),
         ("lmax", 0, lambda n: ScalarCoefficients(n, np.zeros(9))),
         ("lmax", 0, lambda n: forward_sht(np.ones(len(rule)), rule, n)),
         ("lmax", 0, lambda n: legendre_table(n, np.zeros(2))),
@@ -215,7 +219,8 @@ def test_integer_arguments_are_checked_where_they_enter():
         ("degrees", 1, lambda n: bench([n], repetitions=1)),
         ("repetitions", 1, lambda n: bench([], repetitions=n)),
     ]
-    coupling_matrix(lmax=1), coupling_matrix(lmax=3)  # cache entries that True and 3.0 must miss
+    for cached in (coupling_matrix, degrees_orders, build_cg_tables):
+        cached(lmax=1), cached(lmax=3)  # cache entries that True and 3.0 must miss
     for name, low, call in entries:
         for bad in (2.5, np.float64(3.0), float("nan"), "3", low - 1, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer >= {low}"):

@@ -103,26 +103,23 @@ def test_verify_takes_the_scalar_route_auto_would(monkeypatch):
         verify_exactness(_random_weighted_rule(rng, n), t)
         assert calls == [route], (t, n, calls)
         calls.clear()
-    # A tensor rule at its own exactness has too few longitudes for the FFT path.
-    _, rule = gen_gl_tensor(66)
-    assert len(rule) >= most
-    defect, passed = verify_exactness(rule, 66)
-    assert calls == ["nufft"] and passed and defect <= 1e-10
-    assert not rule.grid._plans
-    calls.clear()
-    # One with n_phi >= 2t + 1 is certified on it, as accurately as by the direct sums.
-    _, rule = gen_gl_tensor(80)
-    assert len(rule) >= most
-    defect, passed = verify_exactness(rule, 33)
-    assert calls == [] and list(rule.grid._plans) == [33] and passed
-    sums = forward_sht(np.ones(len(rule)), rule, 33, path="direct-scalar").values
-    sums[0] -= np.sqrt(FOUR_PI)
-    assert abs(defect - np.max(np.abs(sums))) <= 1e-13
+    # A tensor rule is certified on the FFT path, as accurately as by the
+    # direct sums: at its own exactness (n_phi = t + 1, folded orders) and
+    # below it (n_phi >= 2t + 1).
+    for size, t in ((66, 66), (80, 33)):
+        _, rule = gen_gl_tensor(size)
+        assert len(rule) >= most
+        defect, passed = verify_exactness(rule, t)
+        assert calls == [] and list(rule.grid._plans) == [t] and passed
+        sums = forward_sht(np.ones(len(rule)), rule, t, path="direct-scalar").values
+        sums[0] -= np.sqrt(FOUR_PI)
+        assert abs(defect - np.max(np.abs(sums))) <= 1e-13
+        calls.clear()
 
 
 def test_certifying_one_grid_at_rising_degrees_keeps_one_plan():
-    grid, rule = gen_gl_tensor(40)  # n_phi = 41: the FFT path up to t = 20
-    for t in range(21):
+    grid, rule = gen_gl_tensor(40)  # n_phi = 41: orders fold from t = 21 on
+    for t in range(41):
         assert verify_exactness(rule, t)[1]
         assert list(grid._plans) == [t]
 

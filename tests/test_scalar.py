@@ -185,16 +185,42 @@ def test_paired_plan_holds_half_the_rings_legendre_values():
     full = grid.n_theta * sum(lmax - m + 1 for m in range(lmax + 1)) * 8
     assert held <= 0.55 * full
     assert all(not block.flags.writeable for block in plan.even + plan.odd)
+    # The blocks are views on one buffer, and plans of one lmax share the accumulator's layout.
+    assert all(block.base is plan.even[0].base for block in plan.even + plan.odd)
+    other = _plan(gen_gl_tensor(lmax)[0], lmax)  # orders fold on its lmax + 1 longitudes
+    assert other.slots is plan.slots and other.sources is plan.sources and other.signs is plan.signs
 
 
-def test_fast_path_bandwidth_precondition():
-    grid, rule = gen_gl_tensor(10)  # n_phi = 11 supports lmax <= 5 only
-    f = np.ones(len(grid), dtype=np.complex128)
-    with pytest.raises(ValueError):
-        forward_sht(f, rule, 6, path="fast-scalar")
-    with pytest.raises(ValueError):
-        adjoint_sht(ScalarCoefficients.zeros(6), grid, path="fast-scalar")
-    forward_sht(f, rule, 5, path="fast-scalar")  # boundary case is allowed
+def _ring_grid(thetas, n_phi):
+    """A grid on the given rings whose equal weights sum to 4pi, as a rule's must."""
+    thetas = np.asarray(thetas)
+    return TensorGrid(thetas, np.full(thetas.size, FOUR_PI / (thetas.size * n_phi)), n_phi)
+
+
+def test_fast_path_folds_aliased_orders():
+    # On n_phi < 2*lmax + 1 longitudes, orders m and m + n_phi share a DFT bin;
+    # the fast path still matches the direct sums on both kernels.
+    rng = np.random.default_rng(41)
+    asymmetric = [0.3, 1.0, 1.7, 2.6]
+    cases = [
+        (_ring_grid(asymmetric, 1), 9),
+        (_ring_grid(asymmetric, 2), 9),
+        (_ring_grid(asymmetric, 7), 9),  # 7: an odd prime < 19
+        (_ring_grid([0.4, 1.2, np.pi - 0.4], 5), 12),  # one mirrored pair
+        (gen_gl_tensor(10)[0], 6),  # one order past the old n_phi >= 2*lmax + 1 bound
+        (gen_gl_tensor(40)[0], 40),
+    ]
+    for grid, lmax in cases:
+        assert grid.n_phi < 2 * lmax + 1
+        rule = grid.to_rule(0)
+        f = rng.standard_normal(len(grid)) + 1j * rng.standard_normal(len(grid))
+        g = rng.standard_normal(flat_size(lmax)) + 1j * rng.standard_normal(flat_size(lmax))
+        g = ScalarCoefficients(lmax, g)
+        want = forward_sht(f, rule, lmax, path="direct-scalar").values
+        assert _relative(forward_sht(f, rule, lmax, path="fast-scalar").values, want) <= 1e-12, grid
+        want = adjoint_sht(g, rule, path="direct-scalar")
+        assert _relative(adjoint_sht(g, grid, path="fast-scalar"), want) <= 1e-12, grid
+        assert list(grid._plans) == [lmax]
 
 
 def test_tensor_grid_validation():
@@ -296,8 +322,9 @@ def test_each_route_is_an_adjoint_pair(route, lmax):
     forward = getattr(favest.scalar, f"_forward_{route}_values")
     adjoint = getattr(favest.scalar, f"_adjoint_{route}_values")
     if route == "fast":
-        grid, _ = gen_gl_tensor(2 * (lmax + 1))
-        places = [(grid.points(), grid)]
+        # The second grid folds orders above its n_phi / 2 into shared bins.
+        grids = (gen_gl_tensor(2 * (lmax + 1))[0], TensorGrid(np.array([0.2, 1.3, 2.0]), np.ones(3), 5))
+        places = [(grid.points(), grid) for grid in grids]
     else:
         places = [(pts, pts) for pts in (_awkward_points(rng, n) for n in (1, 37, 2500))]
     for pts, where in places:

@@ -167,15 +167,18 @@ def test_auto_routes_by_degree_and_point_count(monkeypatch):
     assert routes == ["fast"] * 2
 
 
-def test_fast_path_needs_enough_longitudes():
+def test_fast_path_needs_a_grid():
     rng = np.random.default_rng(15)
-    _, rule = gen_gl_tensor(10)  # n_phi = 11 < 2*(5+1)+1
+    _, rule = gen_gl_tensor(10)  # n_phi = 11 < 2*(5+1)+1: the fast path folds orders 6 and -5
     samples = _random_tangent(rng, rule.points)
-    with pytest.raises(ValueError):
-        forward_favest(samples, rule, 5, path="fast-scalar")
     coeffs = _random_coeffs(rng, 5)
-    with pytest.raises(ValueError):
-        adjoint_favest(coeffs, rule, path="fast-scalar")
+    fast = forward_favest(samples, rule, 5, path="fast-scalar")
+    direct = forward_favest(samples, rule, 5, path="direct-scalar")
+    for got, want in ((fast.div, direct.div), (fast.curl, direct.curl)):
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+    fast = adjoint_favest(coeffs, rule, path="fast-scalar").values
+    direct = adjoint_favest(coeffs, rule, path="direct-scalar").values
+    assert np.max(np.abs(fast - direct)) <= 1e-12 * np.max(np.abs(direct))
     # raw points have no grid, so the fast path cannot be forced
     with pytest.raises(ValueError):
         adjoint_favest(coeffs, rule.points, path="fast-scalar")
