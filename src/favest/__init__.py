@@ -12,6 +12,7 @@ from .core import (
     QuadratureRule,
     ScalarCoefficients,
     TangentFieldSamples,
+    TensorGrid,
     VectorCoefficients,
     degrees_orders,
     flat_index,
@@ -51,7 +52,7 @@ from .fields import (
 )
 from .legendre import eval_ylm, legendre_table, ylm_table
 from .quadrature import bundled_design, gen_gl_tensor, load_design, verify_exactness
-from .scalar import TensorGrid, adjoint_sht, forward_sht
+from .scalar import adjoint_sht, forward_sht
 from .transforms import (
     RepeatErrors,
     RoundtripResult,

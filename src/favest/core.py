@@ -230,13 +230,93 @@ class TangentFieldSamples:
 
 
 @dataclass(frozen=True)
+class TensorGrid:
+    """Iso-latitude tensor product grid.
+
+    ``ring_thetas`` are strictly increasing colatitudes in (0, pi);
+    ``ring_weights`` are per-point weights, already including the 2pi/n_phi
+    longitudinal factor; each ring carries ``n_phi`` equispaced longitudes
+    ``phi_j = 2*pi*j/n_phi``.  Points enumerate ring-major.  The ring arrays
+    are read-only copies, and ``_plans`` caches the fast path's paired
+    Legendre blocks for the last lmax it was used at (see ``scalar._plan``).
+    """
+
+    ring_thetas: np.ndarray
+    ring_weights: np.ndarray
+    n_phi: int
+    _plans: dict[int, "_GridPlan"] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        th = np.atleast_1d(np.array(self.ring_thetas, dtype=np.float64))
+        w = np.atleast_1d(np.array(self.ring_weights, dtype=np.float64))
+        if th.ndim != 1 or th.shape != w.shape:
+            raise ValueError("ring_thetas and ring_weights must be matching 1-d arrays")
+        if th.size == 0:
+            raise ValueError("grid needs at least one ring")
+        # Written so that NaN fails them.
+        if not np.all((th > 0.0) & (th < np.pi)):
+            raise ValueError("ring colatitudes must lie strictly inside (0, pi)")
+        if not np.all(np.diff(th) > 0.0):
+            raise ValueError("ring colatitudes must be strictly increasing")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("ring weights must be finite")
+        object.__setattr__(self, "n_phi", check_int(self.n_phi, "n_phi", 1))
+        th.flags.writeable = False
+        w.flags.writeable = False
+        object.__setattr__(self, "ring_thetas", th)
+        object.__setattr__(self, "ring_weights", w)
+
+    @property
+    def n_theta(self) -> int:
+        return self.ring_thetas.size
+
+    def __len__(self) -> int:
+        return self.n_theta * self.n_phi
+
+    @property
+    def phis(self) -> np.ndarray:
+        return 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+
+    def points(self) -> np.ndarray:
+        """All grid points, ring-major, shape (n_theta * n_phi, 3)."""
+        theta = np.repeat(self.ring_thetas, self.n_phi)
+        phi = np.tile(self.phis, self.n_theta)
+        return from_spherical(theta, phi)
+
+
+def _ring_grid(points: np.ndarray, weights: np.ndarray) -> TensorGrid | None:
+    """The tensor grid of a ring-major rule, or None if the rule has none.
+
+    n_phi is the length of the leading run of points whose z agrees with
+    the first point's to 1e-14, and each run of n_phi points is one ring,
+    with equal weights to 1e-12 relative.  The grid rebuilt from the rings'
+    first points must reproduce all points to 1e-12: that puts every point
+    of a ring at its z and point j at longitude 2*pi*j/n_phi, so the fast
+    path, which reads the grid and not the points, transforms the rule.
+    """
+    z = points[:, 2]
+    n_phi = int(np.argmax(np.abs(z - z[0]) > 1e-14)) or len(z)
+    if len(z) % n_phi:
+        return None
+    w = weights.reshape(-1, n_phi)
+    if not np.allclose(w, w[:, :1], rtol=1e-12, atol=0.0):
+        return None
+    try:
+        grid = TensorGrid(np.arccos(z[::n_phi]), w[:, 0], n_phi)
+    except ValueError:  # rings out of order, or on a pole
+        return None
+    return grid if np.max(np.abs(grid.points() - points)) <= 1e-12 else None
+
+
+@dataclass(frozen=True)
 class QuadratureRule:
     """Points and weights of a quadrature rule on the unit sphere.
 
     ``exactness`` is the polynomial degree the rule claims to integrate
     exactly; certification against that claim is a separate operation.
-    ``grid`` carries the iso-latitude tensor structure when the rule has
-    one, which is what enables the fast transform path.  Frozen, with read-only
+    ``grid`` is the iso-latitude tensor structure of the points and weights,
+    worked out by :func:`_ring_grid` (None unless the rule is ring-major);
+    it is what enables the fast transform path.  Frozen, with read-only
     copies of ``points`` and ``weights``: the transforms trust the checks made here,
     and ``_stencils`` keeps the NUFFT's separable stencil factors for one fine
     grid (per batch of points, a CSR matrix of phi taps with its transpose and
@@ -247,7 +327,7 @@ class QuadratureRule:
     weights: np.ndarray
     exactness: int
     kind: str = "custom"
-    grid: "TensorGrid | None" = field(default=None, repr=False)
+    grid: TensorGrid | None = field(default=None, init=False, repr=False)
     _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -275,17 +355,7 @@ class QuadratureRule:
             expected = FOUR_PI / self.points.shape[0]
             if not np.allclose(w, expected, rtol=1e-12, atol=0.0):
                 raise ValueError("spherical-design rules must have equal weights 4*pi/N")
-        if self.grid is not None:
-            # The fast path reads the grid, not the points: they must agree.
-            if len(self.grid) != self.points.shape[0]:
-                raise ValueError(
-                    f"grid has {len(self.grid)} points, rule has {self.points.shape[0]}"
-                )
-            if np.max(np.abs(self.grid.points() - self.points)) > 1e-12:
-                raise ValueError("grid points do not match the rule points within 1e-12")
-            grid_w = np.repeat(self.grid.ring_weights, self.grid.n_phi)
-            if not np.allclose(grid_w, w, rtol=1e-12, atol=0.0):
-                raise ValueError("grid ring weights do not match the rule weights")
+        object.__setattr__(self, "grid", _ring_grid(pts, w))
 
     def __len__(self) -> int:
         return self.points.shape[0]

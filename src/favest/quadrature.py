@@ -17,7 +17,7 @@ sums above: ``scalar.forward_sht`` with ``path="auto"``, which picks the
 route as the ``scalar`` module docstring says.  A rule with a grid, such as
 a Gauss-Legendre rule at its own exactness (n_phi = t + 1, whose orders
 above t/2 share ring DFT bins), is certified on the FFT path
-(``QuadratureRule`` ties that grid to the points and weights, to 1e-12);
+(the grid ``QuadratureRule`` works out from its points and weights);
 a rule without one takes the NUFFT in O(t**3 + N) for N points, or the
 direct sums, O(N * t**2), below the NUFFT's crossover.  The rounding noise
 stays far below the 1e-8 pass threshold: the Gauss-Legendre rules up to
@@ -33,8 +33,8 @@ from importlib import resources
 import numpy as np
 from scipy.special import roots_legendre
 
-from .core import FOUR_PI, QuadratureRule, check_int, check_unit
-from .scalar import TensorGrid, forward_sht
+from .core import FOUR_PI, QuadratureRule, TensorGrid, check_int, check_unit
+from .scalar import forward_sht
 
 _BUNDLED_DESIGNS = {"icosahedron12": ("icosahedron12.txt", 5)}
 
@@ -45,8 +45,8 @@ def gen_gl_tensor(t: int) -> tuple[TensorGrid, QuadratureRule]:
     Uses ceil((t+1)/2) Gauss-Legendre colatitude rings and t+1 equispaced
     longitudes; each point carries weight (2pi/n_phi) * (Gauss weight).
 
-    Returns the grid (for fast transforms) and its flattened rule; the rule
-    keeps a reference to the grid.
+    Returns the rule's grid (for fast transforms), which the rule works out
+    from its points and weights, and the rule.
     """
     t = check_int(t, "t")
     n_theta = (t + 2) // 2
@@ -57,7 +57,8 @@ def gen_gl_tensor(t: int) -> tuple[TensorGrid, QuadratureRule]:
     thetas = np.arccos(nodes[::-1])
     weights = gauss_w[::-1] * (2.0 * np.pi / n_phi)
     grid = TensorGrid(ring_thetas=thetas, ring_weights=weights, n_phi=n_phi)
-    return grid, grid.to_rule(exactness=t)
+    rule = QuadratureRule(grid.points(), np.repeat(weights, n_phi), t, "gl-tensor")
+    return rule.grid, rule
 
 
 def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:

@@ -99,89 +99,24 @@ The route of a scalar transform is decided, and run, in this module alone.
 transforms run their three columns through the private pair behind them,
 :func:`_forward_columns` / :func:`_adjoint_columns`.
 ``path`` is one of :data:`PATHS`.  ``path="auto"`` takes the fast path on
-a grid (a rule's own grid, if it has one), else the NUFFT from scalar
-degree 33 and 2000 points on (:func:`_nufft_pays`), where it measured
-faster than the direct sums, else the direct sums.
+a grid (the one a rule works out from its points, if any), else the
+NUFFT from scalar degree 33 and 2000 points on (:func:`_nufft_pays`),
+where it measured faster than the direct sums, else the direct sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import QuadratureRule, ScalarCoefficients, check_int, check_unit, flat_size, from_spherical
+from .core import QuadratureRule, ScalarCoefficients, TensorGrid, check_int, check_unit, flat_size
 from .legendre import _CHUNK_ENTRIES, _batches, _legendre_by_order, _order_phases, _point_chunks
 
 if TYPE_CHECKING:
     from scipy.sparse import csc_array, csr_array
-
-
-@dataclass(frozen=True)
-class TensorGrid:
-    """Iso-latitude tensor product grid.
-
-    ``ring_thetas`` are strictly increasing colatitudes in (0, pi);
-    ``ring_weights`` are per-point weights, already including the 2pi/n_phi
-    longitudinal factor; each ring carries ``n_phi`` equispaced longitudes
-    ``phi_j = 2*pi*j/n_phi``.  Points enumerate ring-major.  The ring arrays
-    are read-only copies, and ``_plans`` caches the fast path's paired
-    Legendre blocks for the last lmax it was used at (see :func:`_plan`).
-    """
-
-    ring_thetas: np.ndarray
-    ring_weights: np.ndarray
-    n_phi: int
-    _plans: dict[int, "_GridPlan"] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        th = np.atleast_1d(np.array(self.ring_thetas, dtype=np.float64))
-        w = np.atleast_1d(np.array(self.ring_weights, dtype=np.float64))
-        if th.ndim != 1 or th.shape != w.shape:
-            raise ValueError("ring_thetas and ring_weights must be matching 1-d arrays")
-        if th.size == 0:
-            raise ValueError("grid needs at least one ring")
-        # Written so that NaN fails them.
-        if not np.all((th > 0.0) & (th < np.pi)):
-            raise ValueError("ring colatitudes must lie strictly inside (0, pi)")
-        if not np.all(np.diff(th) > 0.0):
-            raise ValueError("ring colatitudes must be strictly increasing")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("ring weights must be finite")
-        object.__setattr__(self, "n_phi", check_int(self.n_phi, "n_phi", 1))
-        th.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "ring_thetas", th)
-        object.__setattr__(self, "ring_weights", w)
-
-    @property
-    def n_theta(self) -> int:
-        return self.ring_thetas.size
-
-    def __len__(self) -> int:
-        return self.n_theta * self.n_phi
-
-    @property
-    def phis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
-
-    def points(self) -> np.ndarray:
-        """All grid points, ring-major, shape (n_theta * n_phi, 3)."""
-        theta = np.repeat(self.ring_thetas, self.n_phi)
-        phi = np.tile(self.phis, self.n_theta)
-        return from_spherical(theta, phi)
-
-    def to_rule(self, exactness: int) -> QuadratureRule:
-        """Flatten into a point/weight rule that remembers its grid."""
-        return QuadratureRule(
-            points=self.points(),
-            weights=np.repeat(self.ring_weights, self.n_phi),
-            exactness=exactness,
-            kind="gl-tensor",
-            grid=self,
-        )
 
 
 def _order_rows(lmax: int) -> tuple[np.ndarray, ...]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import favest.scalar
 from favest.core import (
     FOUR_PI,
     QuadratureRule,
@@ -261,16 +262,33 @@ def test_quadrature_rule_is_frozen_with_read_only_copies():
     assert rule.points[0, 2] == 1.0 and rule.weights[0] == FOUR_PI / 2
 
 
-def test_quadrature_rule_rejects_grid_that_disagrees():
-    grid, rule = gen_gl_tensor(6)
-    other, _ = gen_gl_tensor(8)
-    with pytest.raises(ValueError, match="grid has"):
-        QuadratureRule(rule.points, rule.weights, exactness=6, grid=other)
-    # same size, points permuted: the fast path would read them in grid order
-    with pytest.raises(ValueError, match="points do not match"):
-        QuadratureRule(rule.points[::-1], rule.weights[::-1], exactness=6, grid=grid)
-    # same points, weights moved between rings
-    with pytest.raises(ValueError, match="weights do not match"):
-        QuadratureRule(rule.points, np.full(len(rule), FOUR_PI / len(rule)),
-                       exactness=6, grid=grid)
-    QuadratureRule(rule.points, rule.weights, exactness=6, grid=grid)
+def test_rule_works_out_its_grid(monkeypatch):
+    grid, rule = gen_gl_tensor(12)
+    copy = QuadratureRule(rule.points.copy(), rule.weights.copy(), exactness=12)
+    assert copy.grid is not None and copy.grid.n_phi == grid.n_phi
+    np.testing.assert_allclose(copy.grid.ring_thetas, grid.ring_thetas, rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(copy.grid.ring_weights, grid.ring_weights)
+    fast, calls = favest.scalar._forward_fast_values, []
+
+    def spy(f, target, lmax):
+        calls.append(target)
+        return fast(f, target, lmax)
+
+    monkeypatch.setattr(favest.scalar, "_forward_fast_values", spy)
+    favest.scalar.forward_sht(np.ones(len(copy), dtype=np.complex128), copy, 6)
+    assert len(calls) == 1 and calls[0] is copy.grid
+    # The fast path reads the grid, not the points: a rule whose points or
+    # weights the grid would not reproduce to 1e-12 gets none.
+    uneven = rule.weights.copy()
+    uneven[:2] *= [1.0 + 1e-6, 1.0 - 1e-6]
+    tilted = rule.points.copy()
+    c, s = np.cos(1e-9), np.sin(1e-9)  # turn one point 1e-9 rad in longitude
+    tilted[1, :2] = [c * tilted[1, 0] - s * tilted[1, 1], s * tilted[1, 0] + c * tilted[1, 1]]
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    for points, weights in (
+        (rule.points[::-1], rule.weights[::-1]),
+        (rule.points, uneven),
+        (tilted, rule.weights),
+        (poles, np.full(2, FOUR_PI / 2)),
+    ):
+        assert QuadratureRule(points, weights, exactness=1).grid is None

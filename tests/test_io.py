@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from favest.cli import main
 from favest.core import (
     ScalarCoefficients,
     TangentFieldSamples,
@@ -76,6 +77,7 @@ def test_shuffled_or_perturbed_rule_file_has_no_grid(tmp_path):
         QuadratureRule(rule.points, uneven, exactness=12),
         QuadratureRule(tilted, rule.weights, exactness=12),
     ):
+        assert other.grid is None
         path = tmp_path / "other.txt"
         write_rule_file(path, other)
         back = read_rule_file(path, exactness=12)
@@ -167,6 +169,22 @@ def test_coefficient_file_rejects_bad_content(tmp_path):
         with pytest.raises(ValueError, match=entry) as err:
             read_coefficients(path)
         assert str(path) in str(err.value) and f"{label!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("lmax, size", [("2.5", 9), ('"2"', 9), ("true", 4)])
+def test_coefficient_file_degree_must_be_an_integer(tmp_path, capsys, lmax, size):
+    # Each array has the length of the degree int() would read: 2, 2 and 1.
+    pairs = ", ".join(["[0, 0]"] * size)
+    path = tmp_path / "coeffs.json"
+    path.write_text(f'{{"L_max": {lmax}, "a": [{pairs}], "b": [{pairs}]}}')
+    with pytest.raises(ValueError, match="L_max") as err:
+        read_coefficients(path)
+    assert str(path) in str(err.value)
+    rule_path = tmp_path / "rule.txt"
+    write_rule_file(rule_path, gen_gl_tensor(4)[1])
+    assert main(["adj", "--coeffs", str(path), "--points", str(rule_path),
+                 "--out", str(tmp_path / "field.csv")]) == 2
+    assert "L_max" in capsys.readouterr().err
 
 
 def test_samples_roundtrip(tmp_path):
