@@ -289,10 +289,12 @@ def _ring_grid(points: np.ndarray, weights: np.ndarray) -> TensorGrid | None:
 
     n_phi is the length of the leading run of points whose z agrees with
     the first point's to 1e-14, and each run of n_phi points is one ring,
-    with equal weights to 1e-12 relative.  The grid rebuilt from the rings'
-    first points must reproduce all points to 1e-12: that puts every point
-    of a ring at its z and point j at longitude 2*pi*j/n_phi, so the fast
-    path, which reads the grid and not the points, transforms the rule.
+    with equal weights to 1e-12 relative.  The grid's points, as
+    :meth:`TensorGrid.points` forms them from the rings' first points, must
+    reproduce all points to 1e-12: that puts every point of a ring at its z
+    and point j at longitude 2*pi*j/n_phi, so the fast path, which reads the
+    grid and not the points, transforms the rule.  They are compared ring by
+    longitude, by broadcasting, so no (N, 3) array of them is formed.
     """
     z = points[:, 2]
     n_phi = int(np.argmax(np.abs(z - z[0]) > 1e-14)) or len(z)
@@ -305,7 +307,13 @@ def _ring_grid(points: np.ndarray, weights: np.ndarray) -> TensorGrid | None:
         grid = TensorGrid(np.arccos(z[::n_phi]), w[:, 0], n_phi)
     except ValueError:  # rings out of order, or on a pole
         return None
-    return grid if np.max(np.abs(grid.points() - points)) <= 1e-12 else None
+    theta, phi = grid.ring_thetas[:, None], grid.phis
+    # The products from_spherical forms: sin(theta) cos(phi), sin(theta) sin(phi), cos(theta).
+    rebuilt = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    rings = points.reshape(grid.n_theta, n_phi, 3)
+    if all(np.max(np.abs(x - rings[..., i])) <= 1e-12 for i, x in enumerate(rebuilt)):
+        return grid
+    return None
 
 
 @dataclass(frozen=True)

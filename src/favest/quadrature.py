@@ -11,9 +11,10 @@ against 1e-8.  Callers that need lossless degree-L vector roundtrips want
 t = 2(L+1): the harmonic components are polynomials of degree l+1, so the
 Gram integrands reach degree 2(L+1).
 
-The sums are the degree-t scalar forward transform of f = 1 on the rule,
-F(l, m) = sum_i w_i conj(Y(l, m, x_i)), whose moduli equal those of the
-sums above: ``scalar.forward_sht`` with ``path="auto"``, which picks the
+The sums are the degree-t scalar forward transform of the real f = 1 on
+the rule, F(l, m) = sum_i w_i conj(Y(l, m, x_i)), whose moduli equal those
+of the sums above, so only the orders m >= 0 are computed:
+``scalar.forward_sht`` with ``path="auto"``, which picks the
 route as the ``scalar`` module docstring says.  A rule with a grid, such as
 a Gauss-Legendre rule at its own exactness (n_phi = t + 1, whose orders
 above t/2 share ring DFT bins), is certified on the FFT path
@@ -66,10 +67,12 @@ def verify_exactness(rule: QuadratureRule, t: int) -> tuple[float, bool]:
 
     Returns (max_defect, passed) where the defect is the largest deviation
     of sum_i w_i Y(l, m, x_i) from its exact value and passing means a
-    defect of at most 1e-8.
+    defect of at most 1e-8.  The sums are the forward transform of real
+    ones, so every route computes the orders m >= 0 only (see
+    :func:`scalar.forward_sht`).
     """
     t = check_int(t, "t")
-    sums = forward_sht(np.ones(len(rule), dtype=np.complex128), rule, t).values
+    sums = forward_sht(np.ones(len(rule)), rule, t).values
     sums[0] -= np.sqrt(FOUR_PI)
     defect = float(np.max(np.abs(sums)))
     return defect, defect <= 1e-8

@@ -8,9 +8,12 @@ coefficients,
 and the adjoint evaluates the partial sum S(g; x) = sum_{l,m} g_{l,m} Y(l,m,x).
 With A the synthesis matrix, A[k, (l, m)] = Y(l, m, x_k), and W the diagonal
 of the weights, the adjoint is A g and the forward is A^H W f.  Each route
-is a pair of kernels, A and the unweighted A^H, on validated (N, c) or
-((lmax + 1)**2, c) complex columns; :func:`_forward_columns` forms W f once,
-as a temporary the kernel may overwrite.
+is a pair of kernels, A and the unweighted A^H, on validated (N, c) sample
+columns, float64 or complex128, or ((lmax + 1)**2, c) complex coefficient
+columns; :func:`_forward_columns` forms W f once, as a temporary the kernel
+may overwrite.  Each forward kernel computes only the orders m >= 0 of
+real samples, as SHTns does for real data (Schaeffer, G-cubed 14, 2013),
+and writes F(l, -m) = (-1)**m conj F(l, m) from them.
 The direct variants accept arbitrary points; the fast variants require an
 iso-latitude tensor grid and replace the longitudinal sums by FFTs, with the
 per-ring convention F_m = (2pi/n_phi) * sum_j f_j exp(-i*m*phi_j) absorbed
@@ -24,8 +27,9 @@ Both variants work order by order.  The direct path batches points so that
 each batch's order-major Legendre table (``legendre._legendre_by_order``)
 holds at most ``legendre._CHUNK_ENTRIES`` doubles.  Per batch, order m >= 0
 is one real matmul of its contiguous block Pbar(l, m), l = m..lmax, against
-the batch's columns times cos(m*phi) and sin(m*phi); since
-Y(l, -m) = (-1)**m conj(Y(l, m)), that one product serves orders m and -m.
+the batch's columns times cos(m*phi) and sin(m*phi), one real column per
+real sample and two per complex one; since Y(l, -m) = (-1)**m conj(Y(l, m)),
+that one product serves orders m and -m.
 That costs O(M * lmax**2) arithmetic in O(lmax) Python steps per batch.
 
 The fast path keeps one plan per (grid, lmax) on the grid, built on first
@@ -45,9 +49,13 @@ symmetric grid.  After the ring FFT the bins m and -m of each row's ring
 and of its mirror are gathered order-major, into their sum S and
 difference D, so each |m| is two real matmuls (the even block against S,
 the odd block against D) serving m and -m at once, and one precomputed
-gather puts the result in flat order.  The adjoint is the exact
-transpose: a row's ring receives the even plus the odd degrees, its
-mirror the even minus the odd.  A transform needs O(N) working memory
+gather puts the result in flat order.  Real samples take a real FFT of
+each ring and gather bin m alone, so every matmul is half as wide; on a
+folded grid order m reads bin m mod n_phi, conjugated past n_phi / 2.
+That order contraction, from the rings' DFT bins to the flat table
+(:func:`_contract_orders`), also ends the NUFFT's forward.  The adjoint
+is the exact transpose: a row's ring receives the even plus the odd
+degrees, its mirror the even minus the odd.  A transform needs O(N) working memory
 beyond the plan.  The grid's ring arrays are read-only and its fields
 frozen, so a cached plan cannot go stale.
 
@@ -69,8 +77,14 @@ rows only the n + 26 that stencils reach are formed, from
 theta = -13 pi / n on, so no stencil wraps in theta, and of its
 frequencies only the (2*lmax + 1)**2 kept ones are synthesized, first in
 theta on the kept columns, then in phi on the formed rows.  The forward
-is the exact transpose of those steps.  Both agree with the direct sums
-to about 1e-12 relative.
+is the transpose of those steps up to the auxiliary grid, whose samples
+it never forms: an inverse DFT in theta of the kept frequencies gives the
+ring spectra of the torus rows, the reflected half folds onto the
+auxiliary rings (bin m of a ring turned by pi is (-1)**m times its own),
+and those spectra go straight to the fast path's order contraction.  Real
+samples spread one real column each, take a real FFT in phi and keep the
+frequencies m >= 0 only.  Both directions agree with the direct sums to
+about 1e-12 relative.
 
 The 13 x 13 stencil is the product of two 1-D kernels, one along theta
 and one along phi, and is applied as such.  The fine grid is formed
@@ -133,26 +147,35 @@ def _order_rows(lmax: int) -> tuple[np.ndarray, ...]:
     return ms, ls, ls * ls + ls + ms, msn, lsn, lsn * lsn + lsn - msn, signs
 
 
+def _real_columns(f: np.ndarray) -> np.ndarray:
+    """The (N, c) columns f as real ones: float64 f itself, complex128 f as (re, im) pairs."""
+    return f.view(np.float64) if np.iscomplexobj(f) else f
+
+
 def _forward_direct_values(f: np.ndarray, points: np.ndarray, lmax: int) -> np.ndarray:
     """Unweighted sums sum_k f_k conj(Y(l, m, x_k)) of the (N, c) columns f, in point chunks."""
     phi = np.arctan2(points[:, 1], points[:, 0])
     c = f.shape[1]
-    # Complex columns are viewed as pairs of real ones, points last, so each
+    # Real columns, points last (complex ones as pairs of real ones), so each
     # order is one real matmul of its Legendre block against the rows
     # [cos(m phi) f, sin(m phi) f], built per order to stay in cache.
-    f_rows = np.ascontiguousarray(f.view(np.float64).T)
-    acc = np.zeros((lmax + 1, lmax + 1, 2 * c), dtype=np.complex128)
+    f_rows = np.ascontiguousarray(_real_columns(f).T)
+    k = f_rows.shape[0]
+    acc = np.zeros((lmax + 1, lmax + 1, 2 * k))
     for chunk in _point_chunks(points.shape[0], lmax):
         q = _legendre_by_order(lmax, points[chunk, 2])
         phase = _order_phases(lmax, phi[chunk])
         part = f_rows[:, chunk]
-        cols = np.empty((2, 2 * c, q.shape[2]), dtype=np.float64)
+        cols = np.empty((2, k, q.shape[2]), dtype=np.float64)
         for m in range(lmax + 1):
             np.multiply(phase[m].real, part, out=cols[0])
             np.multiply(phase[m].imag, part, out=cols[1])
-            acc[m, m:] += (q[m, m:] @ cols.reshape(4 * c, -1).T).view(np.complex128)
+            acc[m, m:] += q[m, m:] @ cols.reshape(2 * k, -1).T
         del q  # free the table before the next chunk allocates its own
-    # F(l, m) = cos part - i sin part; (-1)**m F(l, -m) = cos part + i sin part.
+    if np.iscomplexobj(f):
+        acc = acc.view(np.complex128)
+    # F(l, m) = cos part - i sin part; (-1)**m F(l, -m) = cos part + i sin part,
+    # which for real f is (-1)**m conj F(l, m).
     ms, ls, rows, msn, lsn, rows_neg, signs = _order_rows(lmax)
     out = np.empty((flat_size(lmax), c), dtype=np.complex128)
     out[rows] = acc[ms, ls, :c] - 1j * acc[ms, ls, c:]
@@ -279,14 +302,15 @@ def _accumulator_layout(lmax: int) -> tuple[tuple[int, ...], np.ndarray, np.ndar
     return tuple(np.cumsum([0] + [d.size for d in degrees[:-1]]).tolist()), slots, sources, signs
 
 
-def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, lmax: int) -> np.ndarray:
-    """Order-major (lmax + 1, rings, 2, c): the DFT bins m and -m of the rings, modulo the width."""
+def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, lmax: int, h: int) -> np.ndarray:
+    """Order-major (lmax + 1, rings, h, c): the rings' DFT bins m and, for h = 2, -m, modulo the width."""
     width, c = spectrum.shape[1:]
-    part = np.empty((lmax + 1, rings.size, 2, c), dtype=np.complex128)
+    part = np.empty((lmax + 1, rings.size, h, c), dtype=np.complex128)
     part[:, :, 0] = spectrum[rings, : lmax + 1].transpose(1, 0, 2)
-    negative = spectrum[rings, width - 1 : width - 1 - lmax : -1]  # bins -1, ..., -lmax
-    part[1:, :, 1] = negative.transpose(1, 0, 2)
-    part[0, :, 1] = part[0, :, 0]  # order 0 has one bin; its unused -m half stays defined
+    if h == 2:
+        negative = spectrum[rings, width - 1 : width - 1 - lmax : -1]  # bins -1, ..., -lmax
+        part[1:, :, 1] = negative.transpose(1, 0, 2)
+        part[0, :, 1] = part[0, :, 0]  # order 0 has one bin; its unused -m half stays defined
     return part
 
 
@@ -298,18 +322,16 @@ def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, l
     spectrum[rings, width - 1 : width - 1 - lmax : -1] = part[1:, :, 1].transpose(1, 0, 2)
 
 
-def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
-    """Unweighted sums of the grid's (size, c) columns f; the ring FFT overwrites f."""
-    from scipy import fft  # deferred, like scipy.sparse in _stencil_factors
+def _contract_orders(spectrum: np.ndarray, plan: _GridPlan, lmax: int, real: bool) -> np.ndarray:
+    """Flat unweighted sums from the ring-major DFT bins (rings, width, c) of a grid's rings.
 
-    plan = _plan(grid, lmax)
-    # Ring DFT, sum_j f_j exp(-2pi i j m / n_phi), in f's memory.
-    spectrum = fft.fft(f.reshape(grid.n_theta, grid.n_phi, -1), axis=1, overwrite_x=True)
-    folds = -(-(2 * lmax + 1) // grid.n_phi)  # periods that hold the bins of orders -lmax..lmax
-    if folds > 1:  # orders m and m + n_phi share a bin: repeat the spectrum past -lmax
-        spectrum = np.tile(spectrum, (1, folds, 1))
-    total = _gather_orders(spectrum, plan.rings, lmax)
-    mirror = _gather_orders(spectrum, plan.mirrors, lmax)
+    Complex samples give bin m at column m and bin -m at width - m, as a
+    DFT of at least 2*lmax + 1 bins does; real samples give bins 0..lmax
+    only, and F(l, -m) = (-1)**m conj F(l, m) gives the rest.
+    """
+    h = 1 if real else 2
+    total = _gather_orders(spectrum, plan.rings, lmax, h)
+    mirror = _gather_orders(spectrum, plan.mirrors, lmax, h)
     # Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t): the even degrees read
     # ring + mirror, the odd ones ring - mirror.
     pairs, c = mirror.shape[1], mirror.shape[3]
@@ -318,17 +340,44 @@ def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarr
     total[:, :pairs] += mirror
     del mirror
     # Complex columns are viewed as pairs of real ones, so each order is two
-    # real matmuls, each serving m and -m.
-    total = total.reshape(lmax + 1, -1, 2 * c).view(np.float64)
-    diff = diff.reshape(lmax + 1, -1, 2 * c).view(np.float64)
-    acc = np.empty((plan.sources.size // 2, 4 * c))
+    # real matmuls, each serving m and, for h = 2, -m.
+    total = total.reshape(lmax + 1, -1, h * c).view(np.float64)
+    diff = diff.reshape(lmax + 1, -1, h * c).view(np.float64)
+    acc = np.empty((plan.sources.size // 2, 2 * h * c))
     for m, (start, even, odd) in enumerate(zip(plan.starts, plan.even, plan.odd)):
         mid = start + even.shape[1]
         np.matmul(even.T, total[m], out=acc[start:mid])
         np.matmul(odd.T, diff[m], out=acc[mid : mid + odd.shape[1]])
-    out = np.take(acc.view(np.complex128).reshape(-1, c), plan.slots, axis=0)
+    acc = acc.view(np.complex128).reshape(-1, h, c)
+    if real:  # the -m slot of each row holds conj F(l, m)
+        acc = np.concatenate([acc, acc.conj()], axis=1)
+    out = np.take(acc.reshape(-1, c), plan.slots, axis=0)
     out *= plan.signs[:, None]
     return out
+
+
+def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarray:
+    """Unweighted sums of the grid's (size, c) columns f; the ring FFT overwrites complex f."""
+    from scipy import fft  # deferred, like scipy.sparse in _stencil_factors
+
+    plan = _plan(grid, lmax)
+    rings = f.reshape(grid.n_theta, grid.n_phi, -1)
+    if not np.iscomplexobj(f):
+        # Bins 0..n_phi // 2 of each real ring; order m reads bin b = m mod n_phi,
+        # which past n_phi / 2 is the conjugate of bin n_phi - b.
+        spectrum = fft.rfft(rings, axis=1)
+        if spectrum.shape[1] <= lmax:  # a folded grid: orders past n_phi / 2 share bins
+            bins = np.arange(lmax + 1) % grid.n_phi
+            flip = bins > grid.n_phi // 2
+            spectrum = np.take(spectrum, np.where(flip, grid.n_phi - bins, bins), axis=1)
+            spectrum[:, flip] = spectrum[:, flip].conj()
+        return _contract_orders(spectrum, plan, lmax, real=True)
+    # Ring DFT, sum_j f_j exp(-2pi i j m / n_phi), in f's memory.
+    spectrum = fft.fft(rings, axis=1, overwrite_x=True)
+    folds = -(-(2 * lmax + 1) // grid.n_phi)  # periods that hold the bins of orders -lmax..lmax
+    if folds > 1:  # orders m and m + n_phi share a bin: repeat the spectrum past -lmax
+        spectrum = np.tile(spectrum, (1, folds, 1))
+    return _contract_orders(spectrum, plan, lmax, real=False)
 
 
 def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
@@ -409,10 +458,14 @@ def forward_sht(f: np.ndarray, rule: QuadratureRule, lmax: int, path: str = "aut
     """Forward scalar transform A^H W f of the rule's N samples f, up to degree lmax.
 
     ``path`` is one of :data:`PATHS`; "auto" picks the route as the module
-    docstring says.  Raises ValueError on non-finite samples.
+    docstring says.  Real samples (any non-complex dtype, as float64) stay
+    real, so the route computes the orders m >= 0 only and writes
+    F(l, -m) = (-1)**m conj F(l, m) from them; complex samples take the
+    full transform.  Raises ValueError on non-finite samples.
     """
     lmax = check_int(lmax, "lmax")
-    vals = np.asarray(f, dtype=np.complex128)
+    vals = np.asarray(f)
+    vals = vals.astype(np.complex128 if np.iscomplexobj(vals) else np.float64, copy=False)
     if vals.shape != (len(rule),):
         raise ValueError(f"sample array of shape {vals.shape} does not match {len(rule)} points")
     if not np.all(np.isfinite(vals)):
@@ -445,7 +498,10 @@ def _target(rule_or_points) -> tuple[np.ndarray, TensorGrid | None, QuadratureRu
 
 
 def _forward_columns(f: np.ndarray, rule: QuadratureRule, degree: int, path: str) -> np.ndarray:
-    """A^H W f on the route ``path`` picks, for (N, c) complex f; the kernel may overwrite W f."""
+    """A^H W f on the route ``path`` picks, for (N, c) float64 or complex128 f; the kernel may overwrite W f.
+
+    Real f stays real, so its kernel computes the orders m >= 0 only.
+    """
     route = _pick_path(path, rule.grid, degree, len(rule))
     wf = rule.weights[:, None] * f
     if route == "fast-scalar":
@@ -649,30 +705,47 @@ def _forward_nufft_values(
 
     Spreads the samples onto the fine grid's reached rows (type-1 NUFFT),
     one colatitude band at a time, transforms them in phi, and the kept
-    columns in theta, zero-padded to the fine grid's 2n rows.  It scales
-    the kept frequencies with the conjugate factors, folds the reflected
-    half of the torus back, and analyses on the auxiliary grid.
+    columns in theta, zero-padded to the fine grid's 2n rows; real samples
+    keep the phi frequencies m >= 0 only.  It scales the kept frequencies
+    with the conjugate factors, transforms them back in theta to the ring
+    spectra of the torus rows, folds the reflected half of the torus onto
+    the auxiliary grid's rings, and hands those to the grid's order
+    contraction.
     """
     from scipy import fft
 
     width = _NUFFT_WIDTH
-    grid, coarse, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
+    grid, _, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, f.shape[1]
-    pairs = f.view(np.float64)
-    nodes = np.zeros((2 * n, n + 2 * width, 2 * c), dtype=np.float64)
+    real = not np.iscomplexobj(f)
+    samples = _real_columns(f)
+    k = samples.shape[1]
+    nodes = np.zeros((2 * n, n + 2 * width, k), dtype=np.float64)
     for batch in _stencil_bands(points, 2 * n, width, rule):
         # Each sample along theta over the band's rows, then along phi.
         b = batch.idx.size
-        near = np.einsum("kr,kc->krc", batch.theta, pairs[batch.idx]).reshape(b, -1)
-        nodes[:, batch.band] += (batch.phi_t @ near).reshape(2 * n, -1, 2 * c)
-    columns = fft.fft(nodes.view(np.complex128), axis=0, overwrite_x=True)[kept]
+        near = np.einsum("kr,kc->krc", batch.theta, samples[batch.idx]).reshape(b, -1)
+        nodes[:, batch.band] += (batch.phi_t @ near).reshape(2 * n, -1, k)
+    if real:
+        orders = kept[: lmax + 1]  # phi frequencies 0..lmax
+        columns = fft.rfft(nodes, axis=0)[: lmax + 1]
+    else:
+        orders = kept
+        columns = fft.fft(nodes.view(np.complex128), axis=0, overwrite_x=True)[kept]
     del nodes  # free the fine grid before the theta transform
     coeffs = fft.fft(columns, n=2 * n, axis=1, overwrite_x=True)[:, kept]
     del columns
     coeffs *= theta_factors.transpose(1, 0, 2).conj()
-    coeffs *= phi_factors[:, :, None]
-    spectrum = np.zeros((n, n, c), dtype=np.complex128)
-    spectrum.transpose(1, 0, 2)[coarse] = coeffs
-    torus = fft.ifft2(spectrum, axes=(0, 1), norm="forward", overwrite_x=True)
-    half = torus[: n // 2] + np.roll(torus[n // 2 :][::-1], n // 2, axis=1)
-    return _forward_fast_values(half.reshape(-1, c), grid, lmax)
+    coeffs *= n * phi_factors[: orders.size, :, None]  # n: a ring DFT sums n longitudes
+    # Theta-major (n, phi frequencies, c); the inverse DFT in theta gives each torus row's ring spectrum.
+    spectrum = np.zeros((n, orders.size, c), dtype=np.complex128)
+    spectrum[kept % n] = coeffs.transpose(1, 0, 2)
+    del coeffs
+    torus = fft.ifft(spectrum, axis=0, norm="forward", overwrite_x=True)
+    # Auxiliary ring j is torus row j plus row n - 1 - j turned by pi, which
+    # multiplies its bin m by (-1)**m.
+    signs = np.where(orders % 2, -1.0, 1.0)[:, None]
+    rings = torus[: n // 2] + signs * torus[: n // 2 - 1 : -1]
+    if real:  # bin 0 of a real ring is real: drop the theta transforms' rounding
+        rings[:, 0].imag = 0.0
+    return _contract_orders(rings, _plan(grid, lmax), lmax, real)

@@ -76,6 +76,11 @@ def forward_favest(
         Scalar route, picked for "auto" as the ``scalar`` module docstring
         says.  "nufft" and "direct-scalar" run on any rule.
 
+    When every sample's imaginary part is exactly zero, as for a real
+    tangent field, the three scalar transforms take real columns and
+    compute the orders m >= 0 only; the first sample is tested before the
+    rest are scanned, so complex data pays almost nothing for the test.
+
     Raises ValueError on non-finite sample values, and unless lmax is an
     integer >= 1.
     """
@@ -87,7 +92,11 @@ def forward_favest(
         raise ValueError("sample points do not match the quadrature rule points")
     if not np.all(np.isfinite(samples.values)):
         raise ValueError("sample values must be finite")
-    return apply_coupling(_forward_columns(samples.values, rule, lmax + 1, path), lmax)
+    values = samples.values
+    # Real samples take the kernels' m >= 0 half; the first sample spares complex data the scan.
+    if not values[:1].imag.any() and not values.imag.any():
+        values = values.real
+    return apply_coupling(_forward_columns(values, rule, lmax + 1, path), lmax)
 
 
 def adjoint_favest(

@@ -1,8 +1,12 @@
+import importlib.util
 import os
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+import favest
 import favest.legendre
 import favest.scalar
 from favest.core import FOUR_PI, QuadratureRule
@@ -11,6 +15,7 @@ from favest.quadrature import bundled_design, gen_gl_tensor, load_design, verify
 from favest.scalar import forward_sht
 
 _SD498 = os.path.join(os.path.dirname(__file__), "data", "sd498_t31.txt")
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_degree_zero_rule_is_single_equator_point():
@@ -180,3 +185,18 @@ def test_sd498_design_certifies_to_degree_31():
     defect, passed = verify_exactness(rule, 31)
     assert passed
     assert defect <= 1e-8
+
+
+@pytest.mark.parametrize("t, n, indices", [(20, 231, range(16)), (140, 10011, range(2))])
+def test_random_rules_certify_to_their_reference_defects(monkeypatch, t, n, indices):
+    # The benchmark's random rules, certified on real samples, read the
+    # defects recorded when the certifier summed complex ones.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for index in indices:
+        rule = workloads.random_certify_rule(favest, index, n, t)
+        want = workloads.reference_defect(t, n, index)
+        defect, _ = verify_exactness(rule, t)
+        assert abs(defect - want) <= 1e-9 * want, (index, defect, want)

@@ -5,7 +5,7 @@ import pytest
 
 import favest.legendre
 from favest import VectorCoefficients, adjoint_favest, forward_favest
-from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, flat_size
+from favest.core import FOUR_PI, QuadratureRule, ScalarCoefficients, degrees_orders, flat_size
 from favest.legendre import eval_ylm, ylm_table
 from favest.quadrature import gen_gl_tensor, verify_exactness
 from favest.scalar import (
@@ -221,6 +221,54 @@ def test_fast_path_folds_aliased_orders():
         want = adjoint_sht(g, rule, path="direct-scalar")
         assert _relative(adjoint_sht(g, grid, path="fast-scalar"), want) <= 1e-12, grid
         assert list(grid._plans) == [lmax]
+
+
+def _real_half_cases():
+    """(route, where, lmax): the direct sums, the fast path unfolded and folded, and the NUFFT."""
+    rng = np.random.default_rng(43)
+    return [
+        ("direct", _awkward_points(rng, 300), 17),
+        ("fast", gen_gl_tensor(36)[0], 17),  # n_phi = 37 >= 2 * 17 + 1
+        ("fast", gen_gl_tensor(30)[0], 30),  # a GL grid at its own degree: n_phi = 31 folds orders
+        ("nufft", _awkward_points(rng, 2500), 40),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["direct", "fast", "fast-folded", "nufft"])
+def test_real_samples_take_the_half_with_orders_m_at_least_0(case):
+    route, where, lmax = _real_half_cases()[case]
+    forward = getattr(favest.scalar, f"_forward_{route}_values")
+    rng = np.random.default_rng([case, lmax])
+    n = len(where)
+    z = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    x = z.real.copy()
+    real = forward(x.copy(), where, lmax)
+    # The same samples as complex128 take the full transform.
+    assert _relative(real, forward(x.astype(np.complex128), where, lmax)) <= 1e-14
+    # F(l, -m) = (-1)**m conj F(l, m), exactly.
+    ls, ms = degrees_orders(lmax)
+    half = ms >= 0
+    mirrored = ls[half] * ls[half] + ls[half] - ms[half]
+    signs = np.where(ms[half] % 2, -1.0, 1.0)[:, None]
+    assert np.array_equal(real[mirrored], signs * real[half].conj())
+    # A complex transform is the real transforms of its two parts.
+    parts = real + 1j * forward(z.imag.copy(), where, lmax)
+    assert _relative(forward(z.copy(), where, lmax), parts) <= 1e-14
+
+
+def test_forward_sht_keeps_real_samples_real(monkeypatch):
+    _, rule = gen_gl_tensor(20)
+    fast, seen = favest.scalar._forward_fast_values, []
+
+    def spy(f, grid, lmax):
+        seen.append(f.dtype)
+        return fast(f, grid, lmax)
+
+    monkeypatch.setattr(favest.scalar, "_forward_fast_values", spy)
+    x = np.cos(rule.points[:, 0])
+    for f in (x, x.astype(np.float32), np.ones(len(rule), dtype=int), x + 0j):
+        forward_sht(f, rule, 10)
+    assert seen == [np.float64] * 3 + [np.complex128]
 
 
 def test_tensor_grid_validation():
@@ -565,8 +613,8 @@ def test_nufft_stencil_factors_are_built_once_per_rule(monkeypatch):
         samples = adjoint_favest(coeffs, first)
         forward_favest(samples, first, lmax)
     assert calls == [] and len(first._stencils) == 1
-    # The cached factors give what factors built afresh give.
-    fresh = _forward_nufft_values(first.weights[:, None].astype(complex), first.points, t)[:, 0]
+    # The cached factors give what factors built afresh give, on the real ones verify_exactness sums.
+    fresh = _forward_nufft_values(first.weights[:, None], first.points, t)[:, 0]
     fresh[0] -= np.sqrt(FOUR_PI)
     assert np.max(np.abs(fresh)) == defects[0][0]
 
