@@ -104,8 +104,10 @@ def read_coefficients(path) -> VectorCoefficients:
         for k, pair in enumerate(raw):
             try:
                 re, im = pair
-                values[k] = complex(float(re), float(im))
-            except (TypeError, ValueError) as exc:
+                if not all(type(part) in (int, float) for part in (re, im)):  # JSON numbers only, not bool
+                    raise TypeError
+                values[k] = complex(re, im)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"{path}: array {label!r} entry {k} is not an [re, im] pair: {pair!r}"
                 ) from exc

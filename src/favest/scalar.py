@@ -53,38 +53,37 @@ gather puts the result in flat order.  Real samples take a real FFT of
 each ring and gather bin m alone, so every matmul is half as wide; on a
 folded grid order m reads bin m mod n_phi, conjugated past n_phi / 2.
 That order contraction, from the rings' DFT bins to the flat table
-(:func:`_contract_orders`), also ends the NUFFT's forward.  The adjoint
-is the exact transpose: a row's ring receives the even plus the odd
-degrees, its mirror the even minus the odd.  A transform needs O(N) working memory
-beyond the plan.  The grid's ring arrays are read-only and its fields
-frozen, so a cached plan cannot go stale.
+(:func:`_contract_orders`), also ends the NUFFT's forward; its transpose,
+:func:`_expand_orders`, starts both adjoints: a row's ring receives the
+even plus the odd degrees, its mirror the even minus the odd.  A
+transform needs O(N) working memory beyond the plan.  The grid's rings
+are read-only and its fields frozen, so a cached plan cannot go stale.
 
 The NUFFT route serves arbitrary points in O(lmax**3 + M) arithmetic, after
 Keiner, Kunis & Potts ("Using NFFT 3", ACM TOMS 36(4), 2009).  Extended to
 colatitudes in [0, 2pi) by f(2pi - theta, phi) = f(theta, phi + pi), the
 partial sum is a 2-D trigonometric polynomial of degree lmax in theta and
-phi.  The adjoint samples it with the fast path on an auxiliary grid of
-n longitudes and n/2 mirrored rings (its plan holds about
-(lmax + 2)**3 / 4 doubles, cached per lmax), takes its Fourier
-coefficients with one FFT, and evaluates it at the points by a type-2
-NUFFT: the coefficients, divided by the Fourier transform of the
+phi.  Both directions are one chain of stages, the forward running the
+adjoint's transposed in reverse order, and neither forms samples on the
+auxiliary grid of n longitudes and n/2 mirrored rings.  The adjoint's order
+expansion on that grid (its plan holds about (lmax + 2)**3 / 4 doubles,
+cached per lmax) gives the rings' bins -lmax..lmax; followed by the same
+rings reversed and turned by pi (bin m times (-1)**m), they are the n x n
+torus's rows, whose DFT in theta gives the polynomial's Fourier
+coefficients.  Divided by the Fourier transform of the
 exponential-of-semicircle kernel (Barnett, Magland & af Klinteberg, SIAM
-J. Sci. Comput. 41(5), 2019), are synthesized on a twice oversampled
-2n x 2n grid and interpolated with the kernel's 13 x 13 stencil.  As in
-FINUFFT, n is the smallest even number of at least max(2*lmax + 2, 26)
-for which 2n is a fast FFT length, and the fine grid is pruned: of its 2n
-rows only the n + 26 that stencils reach are formed, from
+J. Sci. Comput. 41(5), 2019), these are synthesized on a twice oversampled
+2n x 2n grid and interpolated with the kernel's 13 x 13 stencil, a type-2
+NUFFT.  As in FINUFFT, n is the smallest even number of at least
+max(2*lmax + 2, 26) for which 2n is a fast FFT length, and the fine grid is
+pruned: of its 2n rows only the n + 26 that stencils reach are formed, from
 theta = -13 pi / n on, so no stencil wraps in theta, and of its
 frequencies only the (2*lmax + 1)**2 kept ones are synthesized, first in
 theta on the kept columns, then in phi on the formed rows.  The forward
-is the transpose of those steps up to the auxiliary grid, whose samples
-it never forms: an inverse DFT in theta of the kept frequencies gives the
-ring spectra of the torus rows, the reflected half folds onto the
-auxiliary rings (bin m of a ring turned by pi is (-1)**m times its own),
-and those spectra go straight to the fast path's order contraction.  Real
-samples spread one real column each, take a real FFT in phi and keep the
-frequencies m >= 0 only.  Both directions agree with the direct sums to
-about 1e-12 relative.
+spreads (type 1), folds the reflected half of the torus back onto the
+rings and ends with the order contraction.  Real samples spread one real
+column each, take a real FFT in phi and keep the frequencies m >= 0 only.
+Both directions agree with the direct sums to about 1e-12 relative.
 
 The 13 x 13 stencil is the product of two 1-D kernels, one along theta
 and one along phi, and is applied as such.  The fine grid is formed
@@ -227,6 +226,7 @@ class _GridPlan:
 
     rings: np.ndarray  # (rows,) the ring of each row: paired rows first
     mirrors: np.ndarray  # (pairs,) the mirrored ring of each paired row
+    folds: int  # periods of n_phi bins that hold the bins of orders -lmax..lmax
     even: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m even
     odd: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m odd
     starts: tuple[int, ...]  # per order m: its first accumulator row
@@ -281,7 +281,8 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
         del q  # free the table before the next batch allocates its own
     for block in even + odd:
         block.flags.writeable = False
-    return _GridPlan(rings, south, even, odd, *_accumulator_layout(lmax))
+    folds = -(-(2 * lmax + 1) // grid.n_phi)
+    return _GridPlan(rings, south, folds, even, odd, *_accumulator_layout(lmax))
 
 
 @lru_cache(maxsize=4, typed=True)
@@ -374,23 +375,23 @@ def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarr
         return _contract_orders(spectrum, plan, lmax, real=True)
     # Ring DFT, sum_j f_j exp(-2pi i j m / n_phi), in f's memory.
     spectrum = fft.fft(rings, axis=1, overwrite_x=True)
-    folds = -(-(2 * lmax + 1) // grid.n_phi)  # periods that hold the bins of orders -lmax..lmax
-    if folds > 1:  # orders m and m + n_phi share a bin: repeat the spectrum past -lmax
-        spectrum = np.tile(spectrum, (1, folds, 1))
+    if plan.folds > 1:  # orders m and m + n_phi share a bin: repeat the spectrum past -lmax
+        spectrum = np.tile(spectrum, (1, plan.folds, 1))
     return _contract_orders(spectrum, plan, lmax, real=False)
 
 
-def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
-    from scipy import fft
+def _expand_orders(values: np.ndarray, plan: _GridPlan, lmax: int, n_rings: int, width: int) -> np.ndarray:
+    """Ring-major DFT bins (n_rings, width, c) of the flat columns: the transpose of :func:`_contract_orders`.
 
-    plan = _plan(grid, lmax)
+    Bin m lands at column m and bin -m at width - m, for width >= 2*lmax + 1;
+    a row's ring gets the even plus the odd degrees, its mirror the even
+    minus the odd.  Bins no order reaches stay zero.
+    """
     c = values.shape[1]
     coeffs = np.take(values, plan.sources, axis=0)
     coeffs *= plan.signs[plan.sources, None]
     coeffs = coeffs.reshape(-1, 2 * c).view(np.float64)
     rows, pairs = plan.rings.size, plan.mirrors.size
-    # The transpose of the forward: a row's ring gets the even plus the odd
-    # degrees, its mirror even minus odd.  Order-major, m and -m per row.
     total = np.empty((lmax + 1, rows, 4 * c))
     mirror = np.empty((lmax + 1, pairs, 4 * c))
     odd_part = np.empty((rows, 4 * c))
@@ -400,13 +401,19 @@ def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.
         np.matmul(odd, coeffs[mid : mid + odd.shape[1]], out=odd_part)
         np.subtract(total[m, :pairs], odd_part[:pairs], out=mirror[m])
         total[m] += odd_part
-    folds = -(-(2 * lmax + 1) // grid.n_phi)  # as in the forward
-    spectrum = np.zeros((grid.n_theta, folds * grid.n_phi, c), dtype=np.complex128)
+    spectrum = np.zeros((n_rings, width, c), dtype=np.complex128)
     _scatter_orders(spectrum, plan.rings, total, lmax)
     _scatter_orders(spectrum, plan.mirrors, mirror, lmax)
-    del total, mirror
-    if folds > 1:  # add the orders that share a bin
-        spectrum = spectrum.reshape(grid.n_theta, folds, grid.n_phi, c).sum(axis=1)
+    return spectrum
+
+
+def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.ndarray:
+    from scipy import fft
+
+    plan = _plan(grid, lmax)
+    spectrum = _expand_orders(values, plan, lmax, grid.n_theta, plan.folds * grid.n_phi)
+    if plan.folds > 1:  # add the orders that share a bin
+        spectrum = spectrum.reshape(grid.n_theta, plan.folds, grid.n_phi, -1).sum(axis=1)
     # norm="forward" leaves the inverse unscaled: the plain sum over orders.
     out = fft.ifft(spectrum, axis=1, norm="forward", overwrite_x=True)
     return out.reshape(len(grid), values.shape[1])
@@ -533,7 +540,7 @@ def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, np.ndarray, np.ndarray, np.ndarray]:
+def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, np.ndarray, np.ndarray, np.ndarray]:
     """The auxiliary grid, where its kept frequencies sit, and their factors.
 
     The grid has n longitudes and the n/2 rings theta_j = pi * (2j + 1) / n,
@@ -541,10 +548,10 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, np.ndarray, 
     n x n torus grid offset by half a step in theta.  n is the smallest even
     number of at least 2*lmax + 2 and 2*width for which 2n is a fast FFT
     length (``scipy.fft.next_fast_len``); any even n >= 2*lmax + 2 keeps the
-    frequencies -lmax..lmax.  They sit at ``coarse`` in the n x n spectrum,
-    and at ``kept`` along either axis of the spectrum of the 2n x 2n fine
-    grid.  Of the fine grid only the n + 2*width rows that stencils reach
-    are formed, the first at theta = -width * pi / n (see
+    frequencies -lmax..lmax.  They sit at ``kept`` along either axis of the
+    spectrum of the 2n x 2n fine grid, and at ``kept % n`` of the n x n
+    torus's.  Of the fine grid only the n + 2*width rows that stencils
+    reach are formed, the first at theta = -width * pi / n (see
     :func:`_stencil_factors`).  The separable factors
     ``theta_factors[k1] * phi_factors[k2]`` turn the unscaled DFT of the
     torus samples into fine-grid coefficients: they divide by n**2, remove
@@ -570,7 +577,7 @@ def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, tuple, np.ndarray, 
     kept = freqs % (2 * n)
     for factors in (theta_factors, phi_factors, kept):
         factors.flags.writeable = False
-    return grid, np.ix_(freqs % n, freqs % n), kept, theta_factors, phi_factors
+    return grid, kept, theta_factors, phi_factors
 
 
 @dataclass(frozen=True)
@@ -656,34 +663,35 @@ def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _adjoint_nufft_values(
     values: np.ndarray, lmax: int, points: np.ndarray, rule: QuadratureRule | None = None
 ) -> np.ndarray:
-    """Adjoint sum at arbitrary points through the auxiliary grid and a 2-D NUFFT.
+    """Adjoint sum at arbitrary points: the transpose of :func:`_forward_nufft_values`, stage for stage.
 
     The partial sum, extended to theta in [0, 2pi) by f(2pi - theta, phi) =
     f(theta, phi + pi), is a 2-D trigonometric polynomial of degree lmax in
-    each variable.  Its samples on the auxiliary grid (the fast path) give
-    its Fourier coefficients by one FFT; a type-2 NUFFT with the
-    exponential-of-semicircle kernel evaluates it at the points.  The fine
-    grid is synthesized in theta on the kept columns only, then in phi on
-    the rows that stencils reach only.  ``rule`` is the rule the points
-    are, if any, which keeps their stencil factors (see :func:`_stencil_bands`).
+    each variable.  The auxiliary rings' bins (:func:`_expand_orders`) and
+    the same rings reflected are the torus rows, whose DFT in theta gives
+    its Fourier coefficients; a type-2 NUFFT with the exponential-of-semicircle
+    kernel evaluates it at the points, forming the fine grid in theta on the
+    kept columns, then in phi on the reached rows.  ``rule`` is the rule the
+    points are, if any, which keeps their stencil factors (see :func:`_stencil_bands`).
     """
     from scipy import fft
 
     width = _NUFFT_WIDTH
-    grid, coarse, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
+    grid, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, values.shape[1]
     height = n + 2 * width  # the fine-grid rows stencils reach
-    half = _adjoint_fast_values(values, lmax, grid).reshape(n // 2, n, c)
-    torus = np.concatenate([half, np.roll(half[::-1], n // 2, axis=1)])
-    spectrum = fft.fft2(torus, axes=(0, 1), overwrite_x=True)
-    # Phi-major from here on; ``coarse`` picks the same frequencies along both axes.
-    kept_coeffs = spectrum.transpose(1, 0, 2)[coarse]
-    del half, torus, spectrum  # free them before the fine grid is formed
-    kept_coeffs *= phi_factors[:, :, None]
-    kept_coeffs *= theta_factors.transpose(1, 0, 2)
+    # Torus row n - 1 - j is auxiliary ring j turned by pi, which multiplies its bin m by (-1)**m.
+    signs = np.where(kept % 2, -1.0, 1.0)[:, None]
+    torus = _expand_orders(values, _plan(grid, lmax), lmax, n // 2, kept.size)
+    torus = np.concatenate([torus, signs * torus[::-1]])
+    # The DFT in theta of the torus rows' ring spectra, kept frequencies only; phi-major from here on.
+    coeffs = fft.fft(torus, axis=0, overwrite_x=True)[kept % n].transpose(1, 0, 2)
+    del torus  # free it before the fine grid is formed
+    coeffs *= theta_factors.transpose(1, 0, 2)
+    coeffs *= n * phi_factors[:, :, None]  # n: a ring DFT sums n longitudes
     columns = np.zeros((kept.size, 2 * n, c), dtype=np.complex128)
-    columns[:, kept] = kept_coeffs
-    del kept_coeffs
+    columns[:, kept] = coeffs
+    del coeffs
     rows = np.zeros((2 * n, height, c), dtype=np.complex128)
     rows[kept] = fft.ifft(columns, axis=1, norm="forward", overwrite_x=True)[:, :height]
     del columns
@@ -715,7 +723,7 @@ def _forward_nufft_values(
     from scipy import fft
 
     width = _NUFFT_WIDTH
-    grid, _, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
+    grid, kept, theta_factors, phi_factors = _nufft_setup(lmax, width)
     n, c = grid.n_phi, f.shape[1]
     real = not np.iscomplexobj(f)
     samples = _real_columns(f)

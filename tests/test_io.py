@@ -140,7 +140,7 @@ def test_coefficient_roundtrip_is_lossless(tmp_path):
     np.testing.assert_array_equal(back.curl.values, coeffs.curl.values)
 
 
-def test_coefficient_file_rejects_bad_content(tmp_path):
+def test_coefficient_file_rejects_bad_content(tmp_path, capsys):
     not_json = tmp_path / "bad.json"
     not_json.write_text("{not json")
     with pytest.raises(ValueError):
@@ -162,6 +162,8 @@ def test_coefficient_file_rejects_bad_content(tmp_path):
         ("a", "[[0, 0], [1, 0], 7, [0, 0]]", "entry 2"),
         ("a", "5", "'a'"),
         ("b", "[[0, 0], [null, 0], [0, 0], [0, 0]]", "entry 1"),
+        ("a", "[[0, 0], [true, 0], [0, 0], [0, 0]]", "entry 1"),
+        ("b", '[[0, 0], [0, 0], ["1.5", "2"], [0, 0]]', "entry 2"),
     ):
         arrays = {"a": pairs, "b": pairs, label: bad}
         path = tmp_path / "entries.json"
@@ -169,6 +171,13 @@ def test_coefficient_file_rejects_bad_content(tmp_path):
         with pytest.raises(ValueError, match=entry) as err:
             read_coefficients(path)
         assert str(path) in str(err.value) and f"{label!r}" in str(err.value)
+
+    # The CLI reports a part that is not a JSON number as bad input.
+    rule_path = tmp_path / "rule.txt"
+    write_rule_file(rule_path, gen_gl_tensor(4)[1])
+    assert main(["adj", "--coeffs", str(path), "--points", str(rule_path),
+                 "--out", str(tmp_path / "field.csv")]) == 2
+    assert "entry 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lmax, size", [("2.5", 9), ('"2"', 9), ("true", 4)])

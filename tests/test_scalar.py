@@ -431,7 +431,7 @@ def test_nufft_stencil_batches_match_one_batch(monkeypatch):
 def test_nufft_factors_are_the_dense_factors_separated():
     for lmax in (0, 5, 40):
         width = favest.scalar._NUFFT_WIDTH
-        grid, _, _, theta_factors, phi_factors = _nufft_setup(lmax, width)
+        grid, _, theta_factors, phi_factors = _nufft_setup(lmax, width)
         # The (2 lmax + 1)**2 table the factors once were, on the auxiliary grid's n.
         n = grid.n_phi
         freqs = np.r_[0 : lmax + 1, -lmax:0]
@@ -453,16 +453,19 @@ def test_nufft_forward_spreads_without_a_second_fine_grid(monkeypatch):
     monkeypatch.setattr(favest.scalar, "_STENCIL_ENTRIES", 64 * width * width)
     pts = _awkward_points(rng, n)
     f = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-    _forward_nufft_values(f, pts, lmax)  # warm-up: the auxiliary grid and its plan
+    g = rng.standard_normal((flat_size(lmax), 1)) + 1j * rng.standard_normal((flat_size(lmax), 1))
     fine_grid = (4 * lmax + 4) ** 2 * 16  # bytes of the 2n x 2n complex fine grid
-    tracemalloc.start()
-    try:
-        _forward_nufft_values(f, pts, lmax)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # One fine grid plus bands, never a whole-grid temporary per stencil batch.
-    assert peak <= 1.75 * fine_grid, (peak, fine_grid)
+    # The adjoint is the same chain transposed, and is held to the same bound.
+    for kernel in (lambda: _forward_nufft_values(f, pts, lmax), lambda: _adjoint_nufft_values(g, lmax, pts)):
+        kernel()  # warm-up: the auxiliary grid and its plan
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One fine grid plus bands, never a whole-grid temporary per stencil batch.
+        assert peak <= 1.75 * fine_grid, (peak, fine_grid)
 
 
 def test_nufft_batches_take_consecutive_colatitude_bands(monkeypatch):
