@@ -83,7 +83,8 @@ def write_coefficients(path, coeffs: VectorCoefficients) -> None:
 def read_coefficients(path) -> VectorCoefficients:
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            # NaN and +-Infinity, which JSON does not allow, read as their text and fail the number check.
+            doc = json.load(fh, parse_constant=str)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a valid coefficient file: {exc}") from exc
     try:

@@ -41,16 +41,22 @@ pair when cos(theta_k) + cos(theta_{n_theta - 1 - k}) is at most
 ``_MIRROR_TOL`` = 8 eps in magnitude; each pair is one plan row, at the
 northern ring's cosine t, and its southern ring is evaluated at -t.  Every
 unpaired ring is a row of its own: the equator of an odd n_theta, or each
-ring of an asymmetric grid.  For each order |m| the plan stores two
-contiguous blocks of the rows' Legendre values, l - m even and l - m odd,
-filled straight from the kernel one batch of rows at a time; that is
-about n_rows * (lmax + 1)**2 / 2 doubles, half the rings' worth on a
-symmetric grid.  After the ring FFT the bins m and -m of each row's ring
-and of its mirror are gathered order-major, into their sum S and
-difference D, so each |m| is two real matmuls (the even block against S,
-the odd block against D) serving m and -m at once, and one precomputed
-gather puts the result in flat order.  Real samples take a real FFT of
-each ring and gather bin m alone, so every matmul is half as wide; on a
+ring of an asymmetric grid.  The orders 0..lmax fall into groups of
+consecutive orders lo..hi - 1, each grown while its padding, the
+(hi - lo) * (hi - lo - 1) / 2 degrees by which its orders fall short of
+order lo's lmax - lo + 1, stays at most 1/32 of its entries plus 8.  For
+each group the plan stores two stacked (orders, rows, widest) blocks of
+the rows' Legendre values, l - m even and l - m odd, each order's
+zero-padded to order lo's count, filled straight from the kernel one
+batch of rows at a time; that is about n_rows * (lmax + 1)**2 / 2
+doubles, half the rings' worth on a symmetric grid, plus the padding, 3.6
+to 6.5 % of it at lmax = 257 to 64.  After the ring FFT the bins m and -m
+of each row's ring and of its mirror are gathered order-major, into their
+sum S and difference D, so each group of orders is two stacked real
+matmuls (the even blocks against S, the odd blocks against D) serving m
+and -m at once, and one precomputed gather puts the result in flat order.
+Real samples take a real FFT of each ring and gather bin m alone, so
+every matmul is half as wide; on a
 folded grid order m reads bin m mod n_phi, conjugated past n_phi / 2.
 That order contraction, from the rings' DFT bins to the flat table
 (:func:`_contract_orders`), also ends the NUFFT's forward; its transpose,
@@ -227,12 +233,14 @@ class _GridPlan:
     rings: np.ndarray  # (rows,) the ring of each row: paired rows first
     mirrors: np.ndarray  # (pairs,) the mirrored ring of each paired row
     folds: int  # periods of n_phi bins that hold the bins of orders -lmax..lmax
-    even: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m even
-    odd: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m odd
-    starts: tuple[int, ...]  # per order m: its first accumulator row
+    even: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m even, a view into its group's block
+    odd: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m odd, likewise
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # per group: (orders, rows, widest) even and odd blocks
+    groups: tuple[tuple[slice, slice, slice], ...]  # per group: its orders, even and odd accumulator rows
     slots: np.ndarray  # flat (l, m) -> accumulator slot 2 * row + (m < 0)
-    sources: np.ndarray  # accumulator slot -> flat (l, m) or (l, -m)
+    sources: np.ndarray  # accumulator slot -> flat (l, m) or (l, -m); 0 on padding
     signs: np.ndarray  # per flat (l, m): (-1)**m for m < 0, else 1
+    source_signs: np.ndarray  # per accumulator slot: the sign of its source, 0 on padding
 
 
 def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
@@ -242,10 +250,10 @@ def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     ``_MIRROR_TOL``.  Each pair is one row, at the cosine t of its northern
     ring, and every unpaired ring is a row of its own.  The rows' Legendre
     values are filled straight from the kernel, one batch of rows at a
-    time, into two contiguous blocks per order m: the degrees with l - m
-    even and those with l - m odd.  The accumulator holds, per order, the
-    even then the odd degrees, each row with the columns of m and of -m;
-    its layout depends on lmax alone, so plans share it.
+    time, into two stacked blocks per group of orders (see
+    :func:`_accumulator_layout`): the degrees with l - m even and those with
+    l - m odd, each order's zero-padded to the group's widest.  The
+    accumulator's layout depends on lmax alone, so plans share it.
     The grid keeps the plan of one lmax, replaced when another is asked
     for, as a rule keeps its NUFFT stencils for one degree.
     """
@@ -258,6 +266,7 @@ def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
 
 
 def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
+    """Pair the grid's rings and fill the groups' stacked Legendre blocks, views on one zeroed buffer."""
     t = np.cos(grid.ring_thetas)
     n = grid.n_theta
     k = np.arange(n // 2)
@@ -265,12 +274,20 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     south = n - 1 - north
     rings = np.r_[north, np.setdiff1d(np.arange(n), np.r_[north, south])]
 
-    # Every block is a view on one buffer: a plan is one allocation, not 2(lmax + 1) heap chunks.
-    widths = [w for m in range(lmax + 1) for w in ((lmax - m) // 2 + 1, (lmax - m + 1) // 2)]
-    ends = np.cumsum([0] + widths) * rings.size
-    buffer = np.empty(ends[-1])
-    blocks = [buffer[a:b].reshape(rings.size, w) for a, b, w in zip(ends[:-1], ends[1:], widths)]
-    even, odd = blocks[0::2], blocks[1::2]
+    # Every block is a view on one buffer: a plan is one allocation, not two heap chunks per group.
+    layout = _accumulator_layout(lmax)
+    groups = layout[0]
+    widths = [((lmax - o.start) // 2 + 1, (lmax - o.start + 1) // 2) for o, _, _ in groups]
+    shapes = [(o.stop - o.start, rings.size, w) for (o, _, _), pair in zip(groups, widths) for w in pair]
+    ends = np.cumsum([0] + [np.prod(shape) for shape in shapes])
+    buffer = np.zeros(ends[-1])  # a shorter order's padding columns stay zero
+    stacks = [buffer[a:b].reshape(shape) for a, b, shape in zip(ends[:-1], ends[1:], shapes)]
+    blocks = tuple(zip(stacks[0::2], stacks[1::2]))
+    even, odd = [], []
+    for (orders, _, _), (evens, odds) in zip(groups, blocks):
+        for i, m in enumerate(range(orders.start, orders.stop)):
+            even.append(evens[i, :, : (lmax - m) // 2 + 1])
+            odd.append(odds[i, :, : (lmax - m + 1) // 2])
     per_row = (lmax + 1) ** 2
     limit = min(_CHUNK_ENTRIES, max(_PLAN_ENTRIES, -(-rings.size // 8) * per_row))
     for batch in _batches(rings.size, per_row, limit):
@@ -279,28 +296,57 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
             even[m][batch] = q[m, m::2].T
             odd[m][batch] = q[m, m + 1 :: 2].T
         del q  # free the table before the next batch allocates its own
-    for block in even + odd:
+    for block in even + odd + stacks:
         block.flags.writeable = False
     folds = -(-(2 * lmax + 1) // grid.n_phi)
-    return _GridPlan(rings, south, folds, even, odd, *_accumulator_layout(lmax))
+    return _GridPlan(rings, south, folds, even, odd, blocks, *layout)
 
 
 @lru_cache(maxsize=4, typed=True)
-def _accumulator_layout(lmax: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """A plan's (starts, slots, sources, signs): the accumulator's layout for lmax, shared by plans."""
-    # Per order m, the accumulator holds its even degrees, then its odd ones.
-    degrees = [np.r_[m : lmax + 1 : 2, m + 1 : lmax + 1 : 2] for m in range(lmax + 1)]
-    ls = np.concatenate(degrees)
-    ms = np.repeat(np.arange(lmax + 1), [d.size for d in degrees])
+def _accumulator_layout(
+    lmax: int,
+) -> tuple[tuple[tuple[slice, slice, slice], ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A plan's (groups, slots, sources, signs, source_signs): the accumulator's layout for lmax, shared by plans.
+
+    Consecutive orders lo..hi - 1 form a group while its padding, the
+    (hi - lo) * (hi - lo - 1) / 2 columns by which each order's degrees fall
+    short of order lo's, is at most 1/32 of the group's entries plus 8
+    columns, the slack that lets the narrow blocks of high orders group.
+    Per group the accumulator holds, order by order, the even degrees
+    padded to order lo's count of them, then the odd ones likewise; each
+    row has the slots of m and of -m.  A padding slot reads flat index 0
+    with sign 0.
+    """
+    per_order = lmax + 1 - np.arange(lmax + 1)  # the degrees m..lmax of order m
+    groups, ls, ms, lo, start = [], [], [], 0, 0
+    while lo <= lmax:
+        hi = lo + 1
+        while hi <= lmax and 16 * (hi - lo + 1) * (hi - lo) <= per_order[lo : hi + 1].sum() + 256:
+            hi += 1
+        order = np.arange(lo, hi)[:, None]
+        rows = []
+        for first in (order, order + 1):  # the even degrees, then the odd ones
+            degrees = first + 2 * np.arange((lmax - first[0, 0]) // 2 + 1)
+            ls.append(degrees.reshape(-1))
+            ms.append(np.broadcast_to(order, degrees.shape).reshape(-1))
+            rows.append(slice(start, start + degrees.size))
+            start += degrees.size
+        groups.append((slice(lo, hi), *rows))
+        lo = hi
+    ls, ms = np.concatenate(ls), np.concatenate(ms)
+    held = np.repeat(ls <= lmax, 2)  # per slot: not padding
     sources = np.stack([ls * ls + ls + ms, ls * ls + ls - ms], axis=1).reshape(-1)
+    sources[~held] = 0
     slots = np.empty(flat_size(lmax), dtype=np.intp)
-    slots[sources[1::2]] = np.arange(1, sources.size, 2)
-    slots[sources[0::2]] = np.arange(0, sources.size, 2)  # m = 0 reads the +m slot
+    at = np.flatnonzero(held)
+    slots[sources[at[1::2]]] = at[1::2]
+    slots[sources[at[0::2]]] = at[0::2]  # m = 0 reads the +m slot
     orders = np.concatenate([np.arange(-l, l + 1) for l in range(lmax + 1)])
     signs = np.where((orders < 0) & (orders % 2 == 1), -1.0, 1.0)
-    for index in (slots, sources, signs):
+    source_signs = np.where(held, signs[sources], 0).astype(np.int8)  # a byte per slot
+    for index in (slots, sources, signs, source_signs):
         index.flags.writeable = False
-    return tuple(np.cumsum([0] + [d.size for d in degrees[:-1]]).tolist()), slots, sources, signs
+    return tuple(groups), slots, sources, signs, source_signs
 
 
 def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, lmax: int, h: int) -> np.ndarray:
@@ -340,15 +386,16 @@ def _contract_orders(spectrum: np.ndarray, plan: _GridPlan, lmax: int, real: boo
     diff[:, :pairs] -= mirror
     total[:, :pairs] += mirror
     del mirror
-    # Complex columns are viewed as pairs of real ones, so each order is two
-    # real matmuls, each serving m and, for h = 2, -m.
+    # Complex columns are viewed as pairs of real ones, so each group of
+    # orders is two stacked real matmuls, each serving m and, for h = 2, -m.
     total = total.reshape(lmax + 1, -1, h * c).view(np.float64)
     diff = diff.reshape(lmax + 1, -1, h * c).view(np.float64)
-    acc = np.empty((plan.sources.size // 2, 2 * h * c))
-    for m, (start, even, odd) in enumerate(zip(plan.starts, plan.even, plan.odd)):
-        mid = start + even.shape[1]
-        np.matmul(even.T, total[m], out=acc[start:mid])
-        np.matmul(odd.T, diff[m], out=acc[mid : mid + odd.shape[1]])
+    k = 2 * h * c
+    acc = np.empty((plan.sources.size // 2, k))
+    for (orders, even_rows, odd_rows), (even, odd) in zip(plan.groups, plan.blocks):
+        g = even.shape[0]
+        np.matmul(even.transpose(0, 2, 1), total[orders], out=acc[even_rows].reshape(g, -1, k))
+        np.matmul(odd.transpose(0, 2, 1), diff[orders], out=acc[odd_rows].reshape(g, -1, k))
     acc = acc.view(np.complex128).reshape(-1, h, c)
     if real:  # the -m slot of each row holds conj F(l, m)
         acc = np.concatenate([acc, acc.conj()], axis=1)
@@ -388,19 +435,21 @@ def _expand_orders(values: np.ndarray, plan: _GridPlan, lmax: int, n_rings: int,
     minus the odd.  Bins no order reaches stay zero.
     """
     c = values.shape[1]
+    k = 4 * c
     coeffs = np.take(values, plan.sources, axis=0)
-    coeffs *= plan.signs[plan.sources, None]
+    coeffs *= plan.source_signs[:, None]  # padding slots read zero
     coeffs = coeffs.reshape(-1, 2 * c).view(np.float64)
     rows, pairs = plan.rings.size, plan.mirrors.size
-    total = np.empty((lmax + 1, rows, 4 * c))
-    mirror = np.empty((lmax + 1, pairs, 4 * c))
-    odd_part = np.empty((rows, 4 * c))
-    for m, (start, even, odd) in enumerate(zip(plan.starts, plan.even, plan.odd)):
-        mid = start + even.shape[1]
-        np.matmul(even, coeffs[start:mid], out=total[m])
-        np.matmul(odd, coeffs[mid : mid + odd.shape[1]], out=odd_part)
-        np.subtract(total[m, :pairs], odd_part[:pairs], out=mirror[m])
-        total[m] += odd_part
+    total = np.empty((lmax + 1, rows, k))
+    mirror = np.empty((lmax + 1, pairs, k))
+    odd_part = np.empty((max(even.shape[0] for even, _ in plan.blocks), rows, k))
+    for (orders, even_rows, odd_rows), (even, odd) in zip(plan.groups, plan.blocks):
+        g = even.shape[0]
+        part = odd_part[:g]
+        np.matmul(even, coeffs[even_rows].reshape(g, -1, k), out=total[orders])
+        np.matmul(odd, coeffs[odd_rows].reshape(g, -1, k), out=part)
+        np.subtract(total[orders, :pairs], part[:, :pairs], out=mirror[orders])
+        total[orders] += part
     spectrum = np.zeros((n_rings, width, c), dtype=np.complex128)
     _scatter_orders(spectrum, plan.rings, total, lmax)
     _scatter_orders(spectrum, plan.mirrors, mirror, lmax)

@@ -163,6 +163,9 @@ def test_coefficient_file_rejects_bad_content(tmp_path, capsys):
         ("a", "5", "'a'"),
         ("b", "[[0, 0], [null, 0], [0, 0], [0, 0]]", "entry 1"),
         ("a", "[[0, 0], [true, 0], [0, 0], [0, 0]]", "entry 1"),
+        ("a", "[[0, 0], [NaN, 0], [0, 0], [0, 0]]", "entry 1"),
+        ("b", "[[0, 0], [0, 0], [0, 0], [0, Infinity]]", "entry 3"),
+        ("a", "[[-Infinity, 0], [0, 0], [0, 0], [0, 0]]", "entry 0"),
         ("b", '[[0, 0], [0, 0], ["1.5", "2"], [0, 0]]', "entry 2"),
     ):
         arrays = {"a": pairs, "b": pairs, label: bad}
@@ -178,6 +181,12 @@ def test_coefficient_file_rejects_bad_content(tmp_path, capsys):
     assert main(["adj", "--coeffs", str(path), "--points", str(rule_path),
                  "--out", str(tmp_path / "field.csv")]) == 2
     assert "entry 2" in capsys.readouterr().err
+    # NaN and Infinity, which Python's parser allows but JSON does not, are bad input too.
+    path.write_text(f'{{"L_max": 1, "a": {pairs}, "b": [[0, 0], [NaN, 0], [0, 0], [0, 0]]}}')
+    assert main(["adj", "--coeffs", str(path), "--points", str(rule_path),
+                 "--out", str(tmp_path / "field.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "entry 1" in err
 
 
 @pytest.mark.parametrize("lmax, size", [("2.5", 9), ('"2"', 9), ("true", 4)])
