@@ -47,11 +47,11 @@ def flat_size(lmax: int) -> int:
     return (check_int(lmax, "lmax") + 1) ** 2
 
 
-@lru_cache(maxsize=16, typed=True)  # typed: lmax=2.0 or lmax=True must not hit a cached 2 or 1
+@lru_cache(maxsize=1, typed=True)  # typed: lmax=2.0 or lmax=True must not hit a cached 2 or 1
 def degrees_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Return integer arrays (ls, ms) listing (l, m) in flat order.
 
-    Results are cached per lmax and shared, hence read-only.
+    The last lmax's arrays are cached and shared, hence read-only.
     """
     size = flat_size(lmax)
     ls = np.empty(size, dtype=np.int64)
@@ -237,14 +237,13 @@ class TensorGrid:
     ``ring_weights`` are per-point weights, already including the 2pi/n_phi
     longitudinal factor; each ring carries ``n_phi`` equispaced longitudes
     ``phi_j = 2*pi*j/n_phi``.  Points enumerate ring-major.  The ring arrays
-    are read-only copies, and ``_plans`` caches the fast path's paired
-    Legendre blocks for the last lmax it was used at (see ``scalar._plan``).
+    are read-only copies; ``_slot`` caches the fast path's plan (see ``scalar``).
     """
 
     ring_thetas: np.ndarray
     ring_weights: np.ndarray
     n_phi: int
-    _plans: dict[int, "_GridPlan"] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         th = np.atleast_1d(np.array(self.ring_thetas, dtype=np.float64))
@@ -325,10 +324,8 @@ class QuadratureRule:
     ``grid`` is the iso-latitude tensor structure of the points and weights,
     worked out by :func:`_ring_grid` (None unless the rule is ring-major);
     it is what enables the fast transform path.  Frozen, with read-only
-    copies of ``points`` and ``weights``: the transforms trust the checks made here,
-    and ``_stencils`` keeps the NUFFT's separable stencil factors for one fine
-    grid (per batch of points, a CSR matrix of phi taps with its transpose and
-    a dense block of theta taps, 272 to 312 bytes per point; see ``scalar._stencil_bands``).
+    copies of ``points`` and ``weights``: the transforms trust the checks made here.
+    ``_slot`` caches the NUFFT's stencil factors (see ``scalar``).
     """
 
     points: np.ndarray
@@ -336,7 +333,7 @@ class QuadratureRule:
     exactness: int
     kind: str = "custom"
     grid: TensorGrid | None = field(default=None, init=False, repr=False)
-    _stencils: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _slot: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = check_unit(np.atleast_2d(np.array(self.points, dtype=np.float64)))

@@ -157,13 +157,13 @@ class CGTables:
     d: np.ndarray
 
 
-@lru_cache(maxsize=8, typed=True)  # typed, as coupling_matrix
+@lru_cache(maxsize=1, typed=True)  # typed, as coupling_matrix
 def build_cg_tables(lmax: int) -> CGTables:
     """Tabulate the six xi and three mu coupling arrays for degree lmax.
 
     The tables extend to degree lmax + 1 because they are indexed by the
-    source (l +- 1, m +- 1) of each coupling.  Results are cached per lmax
-    and shared, hence read-only.
+    source (l +- 1, m +- 1) of each coupling.  The last lmax's tables are
+    cached and shared, hence read-only.
     """
     top = check_int(lmax, "lmax") + 1
     ls, ms = degrees_orders(top)
@@ -200,7 +200,7 @@ _CURL_KINDS = ((0, 1), (0, 0), (0, -1))
 _STAGING_ENTRIES = 1 << 16
 
 
-@lru_cache(maxsize=8, typed=True)  # typed: lmax=3.0 or lmax=True must not hit a cached lmax=3 or 1
+@lru_cache(maxsize=1, typed=True)  # typed: lmax=3.0 or lmax=True must not hit a cached lmax=3 or 1
 def coupling_matrix(lmax: int):
     """The real matrix R of the forward coupling K = D_out R D_in; cached, read-only.
 
@@ -259,7 +259,7 @@ def coupling_matrix(lmax: int):
     return matrix
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _coupling_transpose(lmax: int):
     """R^T, kept beside R: a CSC view on :func:`coupling_matrix`'s read-only buffers."""
     return coupling_matrix(lmax).T

@@ -2,8 +2,8 @@
 
 All floats are written with 17 significant digits so that write -> read is a
 lossless double roundtrip. Readers accept '#' comment lines and blank lines.
-Malformed content raises ValueError; the CLI maps that to its usage/IO exit
-code.
+Malformed content, a non-finite number included, raises ValueError naming
+the file; the CLI maps that to its usage/IO exit code.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .core import (
     from_spherical,
     to_spherical,
 )
-from .quadrature import QuadratureRule, _read_columns, _renormalize
+from .quadrature import QuadratureRule, _parse_row, _read_columns, _renormalize
 
 SAMPLES_HEADER = ("theta", "phi", "t1_re", "t1_im", "t2_re", "t2_im", "t3_re", "t3_im")
 
@@ -139,10 +139,7 @@ def read_samples(path) -> TangentFieldSamples:
                 continue
             if len(row) != 8:
                 raise ValueError(f"{path}:{lineno}: expected 8 columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            rows.append(_parse_row(row, path, lineno))
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     data = np.array(rows)

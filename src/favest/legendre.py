@@ -78,7 +78,7 @@ def _order_phases(lmax: int, phi: np.ndarray) -> np.ndarray:
     return (high[:, None] * low).reshape(-1, phi.size)[: lmax + 1]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _recurrence_coefficients(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (lmax+1, lmax+1) arrays a[l, m], b[l, m] of the l-recurrence.
 

@@ -23,16 +23,16 @@ a rule without one takes the NUFFT in O(t**3 + N) for N points, or the
 direct sums, O(N * t**2), below the NUFFT's crossover.  The rounding noise
 stays far below the 1e-8 pass threshold: the Gauss-Legendre rules up to
 t = 140 read defects of at most 2.2e-13 on the FFT path (1.5e-13 at
-t = 140).  A rule keeps the NUFFT's stencil factors, and a grid its plan,
-so certifying it again, at the same degree, rebuilds none of them.
+t = 140).  Certifying a rule again, at the same degree, rebuilds no plan
+and no stencil factors (see the ``scalar`` module docstring).
 """
 
 from __future__ import annotations
 
+import math
 from importlib import resources
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .core import FOUR_PI, QuadratureRule, TensorGrid, check_int, check_unit
 from .scalar import forward_sht
@@ -49,6 +49,8 @@ def gen_gl_tensor(t: int) -> tuple[TensorGrid, QuadratureRule]:
     Returns the rule's grid (for fast transforms), which the rule works out
     from its points and weights, and the rule.
     """
+    from scipy.special import roots_legendre  # deferred: most of the time taken by import favest
+
     t = check_int(t, "t")
     n_theta = (t + 2) // 2
     n_phi = t + 1
@@ -124,13 +126,22 @@ def _read_columns(path) -> np.ndarray:
                 width = len(fields)
             elif len(fields) != width:
                 raise ValueError(f"{path}:{lineno}: expected {width} columns, got {len(fields)}")
-            try:
-                rows.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(_parse_row(fields, path, lineno))
     if not rows:
         raise ValueError(f"no data rows in {path}")
     return np.asarray(rows, dtype=np.float64)
+
+
+def _parse_row(fields, path, lineno) -> list[float]:
+    """The fields of line ``lineno`` as floats; ValueError naming the file and line unless each is finite."""
+    try:
+        row = [float(v) for v in fields]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for text, value in zip(fields, row):
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite value {text.strip()!r}")
+    return row
 
 
 def _renormalize(points: np.ndarray, path) -> np.ndarray:

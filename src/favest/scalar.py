@@ -32,10 +32,10 @@ real sample and two per complex one; since Y(l, -m) = (-1)**m conj(Y(l, m)),
 that one product serves orders m and -m.
 That costs O(M * lmax**2) arithmetic in O(lmax) Python steps per batch.
 
-The fast path keeps one plan per (grid, lmax) on the grid, built on first
-use.  It pairs mirrored rings and merges orders m and -m, after Schaeffer
-("Efficient spherical harmonic transforms aimed at pseudospectral
-numerical simulations", G-cubed 14, 2013), through the identity
+The fast path's plan for (grid, lmax) pairs mirrored rings and merges
+orders m and -m, after Schaeffer ("Efficient spherical harmonic
+transforms aimed at pseudospectral numerical simulations", G-cubed 14,
+2013), through the identity
 Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t).  Rings k and n_theta - 1 - k
 pair when cos(theta_k) + cos(theta_{n_theta - 1 - k}) is at most
 ``_MIRROR_TOL`` = 8 eps in magnitude; each pair is one plan row, at the
@@ -62,8 +62,7 @@ That order contraction, from the rings' DFT bins to the flat table
 (:func:`_contract_orders`), also ends the NUFFT's forward; its transpose,
 :func:`_expand_orders`, starts both adjoints: a row's ring receives the
 even plus the odd degrees, its mirror the even minus the odd.  A
-transform needs O(N) working memory beyond the plan.  The grid's rings
-are read-only and its fields frozen, so a cached plan cannot go stale.
+transform needs O(N) working memory beyond the plan.
 
 The NUFFT route serves arbitrary points in O(lmax**3 + M) arithmetic, after
 Keiner, Kunis & Potts ("Using NFFT 3", ACM TOMS 36(4), 2009).  Extended to
@@ -72,8 +71,8 @@ partial sum is a 2-D trigonometric polynomial of degree lmax in theta and
 phi.  Both directions are one chain of stages, the forward running the
 adjoint's transposed in reverse order, and neither forms samples on the
 auxiliary grid of n longitudes and n/2 mirrored rings.  The adjoint's order
-expansion on that grid (its plan holds about (lmax + 2)**3 / 4 doubles,
-cached per lmax) gives the rings' bins -lmax..lmax; followed by the same
+expansion on that grid (its plan holds about (lmax + 2)**3 / 4 doubles)
+gives the rings' bins -lmax..lmax; followed by the same
 rings reversed and turned by pi (bin m times (-1)**m), they are the n x n
 torus's rows, whose DFT in theta gives the polynomial's Fourier
 coefficients.  Divided by the Fourier transform of the
@@ -104,13 +103,22 @@ entries per point) with the band's 2n columns, then a sum over the band's
 rows weighted by the theta taps, a dense block of one row per point;
 the forward is the exact transpose, the theta block times the samples,
 spread by the CSC transpose of the same matrix.  After NFFT3's
-precomputation, the frozen ``QuadratureRule`` keeps each batch's point
-indices, band, CSR matrix with its transpose (a view on the same
-buffers) and theta block, 272 to 312 bytes per point, for the last fine
-grid and width it was transformed at: a repeated call on a rule
+precomputation, a ``QuadratureRule`` keeps each batch's point indices,
+band, CSR matrix with its transpose (a view on the same buffers) and
+theta block, 272 to 312 bytes per point: a repeated call on a rule
 evaluates no kernel, builds no sparse matrix and expands no weight
 block.  Raw point arrays, which may change between calls, build each
 batch's factors when it is asked for and keep none.
+
+Every cache keeps its last entry, as FINUFFT's plan and NFFT3's
+``nfsft_precompute`` keep the one precomputation in hand.  A grid keeps
+its plan of the last lmax, and a rule its stencil factors of the last fine
+grid and width, in its one ``_slot``, which :func:`_keep_last` alone reads
+and writes; both are frozen, so an entry cannot go stale, and it goes with
+its object.  Each ``lru_cache`` in the package, such as K's or the
+NUFFT's auxiliary grid's, holds the last degree's entry.  The CLI and
+the certifier transform at one degree at a time, so no warm call misses;
+a caller that alternates degrees rebuilds at each change.
 
 The route of a scalar transform is decided, and run, in this module alone.
 :func:`forward_sht` and :func:`adjoint_sht`, which the certifier
@@ -243,8 +251,18 @@ class _GridPlan:
     source_signs: np.ndarray  # per accumulator slot: the sign of its source, 0 on padding
 
 
+def _keep_last(owner: TensorGrid | QuadratureRule, key, build):
+    """The entry for ``key`` in the owner's one slot, or ``build()``'s, which then replaces it."""
+    if owner._slot is not None and owner._slot[0] == key:
+        return owner._slot[1]
+    object.__setattr__(owner, "_slot", None)  # free the old entry before the new one is built
+    entry = build()
+    object.__setattr__(owner, "_slot", (key, entry))
+    return entry
+
+
 def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
-    """The grid's paired Legendre blocks for lmax, built on first use and cached.
+    """The grid's paired Legendre blocks for lmax, kept in its slot (see :func:`_keep_last`).
 
     Rings k and n_theta - 1 - k pair when their cosines cancel to within
     ``_MIRROR_TOL``.  Each pair is one row, at the cosine t of its northern
@@ -254,15 +272,8 @@ def _plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     :func:`_accumulator_layout`): the degrees with l - m even and those with
     l - m odd, each order's zero-padded to the group's widest.  The
     accumulator's layout depends on lmax alone, so plans share it.
-    The grid keeps the plan of one lmax, replaced when another is asked
-    for, as a rule keeps its NUFFT stencils for one degree.
     """
-    plan = grid._plans.get(lmax)
-    if plan is None:
-        grid._plans.clear()  # free the old plan before the new one is built
-        plan = _build_plan(grid, lmax)
-        grid._plans[lmax] = plan
-    return plan
+    return _keep_last(grid, lmax, lambda: _build_plan(grid, lmax))
 
 
 def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
@@ -302,7 +313,7 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     return _GridPlan(rings, south, folds, even, odd, blocks, *layout)
 
 
-@lru_cache(maxsize=4, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def _accumulator_layout(
     lmax: int,
 ) -> tuple[tuple[tuple[slice, slice, slice], ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -588,7 +599,7 @@ def _es_kernel(z: np.ndarray, width: int) -> np.ndarray:
     return np.exp(2.3 * width * (np.sqrt(np.maximum(0.0, 1.0 - z * z)) - 1.0))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _nufft_setup(lmax: int, width: int) -> tuple[TensorGrid, np.ndarray, np.ndarray, np.ndarray]:
     """The auxiliary grid, where its kept frequencies sit, and their factors.
 
@@ -689,19 +700,14 @@ def _stencil_factors(points: np.ndarray, n_fine: int, width: int):
 def _stencil_bands(points: np.ndarray, n_fine: int, width: int, rule: QuadratureRule | None = None):
     """The points' stencil batches (:class:`_StencilBatch`), in colatitude order.
 
-    ``rule``, if given, is the frozen rule the points are: its ``_stencils``
-    keeps the batches for one (n_fine, width), replaced when another is
-    asked for, so a repeated call builds nothing.  Raw points, which may
-    change between calls, build each batch when it is asked for and keep none.
+    ``rule``, if given, is the frozen rule the points are, whose slot keeps
+    the batches of one (n_fine, width) (see :func:`_keep_last`).  Raw points,
+    which may change between calls, build each batch when it is asked for
+    and keep none.
     """
     if rule is None:
         return _stencil_factors(points, n_fine, width)
-    batches = rule._stencils.get((n_fine, width))
-    if batches is None:
-        batches = tuple(_stencil_factors(points, n_fine, width))
-        rule._stencils.clear()
-        rule._stencils[n_fine, width] = batches
-    return batches
+    return _keep_last(rule, (n_fine, width), lambda: tuple(_stencil_factors(points, n_fine, width)))
 
 
 def _sphere_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,17 +31,11 @@ northern partner, which differs from the ring's own cosine by at most
 8 eps; it agrees with the direct route to rounding.  The NUFFT matches
 them to its accuracy.
 
-Nothing needs to be prepared by the caller.  K is cached per lmax with
-its transpose, a view on its buffers, and the fast path builds a plan per
-(grid, lmax) on first use and keeps the last one on the grid, so repeated
-transforms on one grid at one degree pay only the FFTs, the per-order
-matmuls and the two sparse products, in O(N) working memory.  The NUFFT
-route caches its auxiliary grid, with its plan, per degree, and keeps on
-the rule the two stencil factors of the last degree that its kernels
-multiply by, so a repeated round trip on one rule at one degree, on any
-route, evaluates no kernel, builds no sparse matrix and expands no
-weight block: it pays only the FFTs and, per batch of points, one sparse
-product and one weighted sum over a band of fine-grid rows.
+Nothing needs to be prepared by the caller.  K, its transpose (a view on
+its buffers) and the scalar routes' plans are built on first use and
+cached as the ``scalar`` module docstring says, so a repeated round trip
+on one rule at one degree, on any route, evaluates no kernel, builds no
+sparse matrix and expands no weight block, in O(N) working memory.
 Non-finite input values are rejected with ValueError.
 """
 

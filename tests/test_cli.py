@@ -208,7 +208,8 @@ class TestForward:
             ]
         )
         assert code == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite" in err and str(samples_path) in err
 
 
 class TestAdjoint:

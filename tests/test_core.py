@@ -115,12 +115,26 @@ def test_non_finite_points_are_rejected(bad):
 
 
 def test_import_defers_scipy():
-    # scipy.sparse and scipy.fft each add tens of ms to `import favest`.
-    code = "import sys, favest; print(sorted(m for m in ('scipy.sparse', 'scipy.fft') if m in sys.modules))"
+    # scipy.special, scipy.sparse and scipy.fft each add tens of ms to `import favest`.
+    names = "('scipy.special', 'scipy.sparse', 'scipy.fft')"
+    code = f"import sys, favest; print(sorted(m for m in {names} if m in sys.modules))"
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_entry_caches_miss_an_equal_non_integer():
+    # Each cache holds one entry, so every bad argument meets the entry it
+    # compares equal to: True == 1 and 3.0 == 3 must miss, by typed=True.
+    from favest.coupling import build_cg_tables, coupling_matrix
+
+    for cached in (coupling_matrix, degrees_orders, build_cg_tables):
+        for good, bad in ((3, np.float64(3.0)), (3, 3.0), (1, True)):
+            for call in (cached, lambda n: cached(lmax=n)):
+                call(good)
+                with pytest.raises(ValueError, match="lmax must be an integer"):
+                    call(bad)
 
 
 def test_scalar_coefficients_validate_length():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from favest.io import (
     write_rule_file,
     write_samples,
 )
-from favest.quadrature import QuadratureRule, gen_gl_tensor
+from favest.quadrature import QuadratureRule, gen_gl_tensor, load_design
 from favest.transforms import adjoint_favest, forward_favest
 
 
@@ -129,6 +131,25 @@ def test_rule_file_rejects_bad_content(tmp_path):
     with pytest.raises(ValueError):
         read_rule_file(off_sphere, exactness=0)
 
+    # Non-finite numbers fail where they are read, naming the file and line:
+    # in a point column, in a weight column, and in a design file.
+    w = 4.0 * np.pi / 2
+    for name, text in [
+        ("nan_point.txt", f"0 0 1 {w}\nnan 0 -1 {w}\n"),
+        ("inf_point.txt", "0 0 1\n0 inf -1\n"),
+        ("nan_weight.txt", f"0 0 1 nan\n0 0 -1 {w}\n"),
+        ("inf_weight.txt", f"0 0 1 {w}\n0 0 -1 inf\n"),
+        ("minus_inf_weight.txt", f"0 0 1 -inf\n0 0 -1 {w}\n"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:[12]: non-finite"):
+            read_rule_file(path, exactness=0)
+    design = tmp_path / "design.txt"
+    design.write_text("0 0 1\n0 0 -inf\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(design))}:2: non-finite value '-inf'"):
+        load_design(design, 1)
+
 
 def test_coefficient_roundtrip_is_lossless(tmp_path):
     coeffs = _coeffs(np.random.default_rng(1), 6)
@@ -234,3 +255,19 @@ def test_samples_file_rejects_bad_content(tmp_path):
     header_only.write_text("theta,phi,t1_re,t1_im,t2_re,t2_im,t3_re,t3_im\n")
     with pytest.raises(ValueError):
         read_samples(header_only)
+
+    # Non-finite numbers fail where they are read, naming the file and line:
+    # in a value column and in theta.
+    header = "theta,phi,t1_re,t1_im,t2_re,t2_im,t3_re,t3_im\n"
+    good = "0.5,0.5,0,0,0,0,0,0\n"
+    for name, row in [
+        ("nan_value.csv", "0.5,0.5,0,nan,0,0,0,0\n"),
+        ("inf_value.csv", "0.5,0.5,0,0,inf,0,0,0\n"),
+        ("minus_inf_value.csv", "0.5,0.5,0,0,0,0,0,-inf\n"),
+        ("inf_theta.csv", "inf,0.5,0,0,0,0,0,0\n"),
+        ("nan_theta.csv", "nan,0.5,0,0,0,0,0,0\n"),
+    ]:
+        path = tmp_path / name
+        path.write_text(header + good + row)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: non-finite"):
+            read_samples(path)

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -325,10 +326,35 @@ def test_grid_plan_is_built_once_per_lmax(monkeypatch):
     assert calls == [lmax + 1]  # forward and adjoint share the degree-(lmax+1) plan
     forward_favest(samples, rule, lmax + 1)
     assert calls == [lmax + 1, lmax + 2]
-    assert list(grid._plans) == [lmax + 2]  # the grid keeps its last degree's plan only
+    assert grid._slot[0] == lmax + 2  # the grid keeps its last degree's plan only
     adjoint_favest(coeffs, rule)
     assert calls == [lmax + 1, lmax + 2, lmax + 1]
-    assert list(grid._plans) == [lmax + 1]
+    assert grid._slot[0] == lmax + 1
+
+
+def _retained_bytes(degrees, n, seed):
+    """Bytes left allocated once a rule of n random points, transformed at each degree, is dropped."""
+    rng = np.random.default_rng(seed)
+    rule = QuadratureRule(_random_points(rng, n), np.full(n, FOUR_PI / n), exactness=0)
+    coeffs = [_random_coeffs(rng, lmax) for lmax in (40, *degrees)]
+    forward_favest(adjoint_favest(coeffs[0], rule), rule, 40)  # imports what the NUFFT route imports
+    tracemalloc.start()
+    try:
+        for c in coeffs[1:]:
+            forward_favest(adjoint_favest(c, rule), rule, c.lmax)
+        del rule
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dropped_rule_leaves_one_degrees_shared_state():
+    # What the NUFFT route shares across rules of one degree, K included,
+    # is kept for the last degree only, and the rule takes its stencil factors with it.
+    one = _retained_bytes([96], 3000, 131)
+    four = _retained_bytes(range(97, 101), 3000, 137)
+    assert four <= 1.5 * one, (four, one)
 
 
 def test_grid_is_immutable():
