@@ -288,7 +288,9 @@ def _ring_grid(points: np.ndarray, weights: np.ndarray) -> TensorGrid | None:
 
     n_phi is the length of the leading run of points whose z agrees with
     the first point's to 1e-14, and each run of n_phi points is one ring,
-    with equal weights to 1e-12 relative.  The grid's points, as
+    with equal weights to 1e-12 relative.  A ring's colatitude is
+    arctan2(hypot(x, y), z) of its first point, which keeps full precision
+    near the poles, where arccos(z) does not.  The grid's points, as
     :meth:`TensorGrid.points` forms them from the rings' first points, must
     reproduce all points to 1e-12: that puts every point of a ring at its z
     and point j at longitude 2*pi*j/n_phi, so the fast path, which reads the
@@ -302,8 +304,9 @@ def _ring_grid(points: np.ndarray, weights: np.ndarray) -> TensorGrid | None:
     w = weights.reshape(-1, n_phi)
     if not np.allclose(w, w[:, :1], rtol=1e-12, atol=0.0):
         return None
+    first = points[::n_phi]
     try:
-        grid = TensorGrid(np.arccos(z[::n_phi]), w[:, 0], n_phi)
+        grid = TensorGrid(np.arctan2(np.hypot(first[:, 0], first[:, 1]), first[:, 2]), w[:, 0], n_phi)
     except ValueError:  # rings out of order, or on a pole
         return None
     theta, phi = grid.ring_thetas[:, None], grid.phis

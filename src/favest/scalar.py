@@ -64,6 +64,20 @@ That order contraction, from the rings' DFT bins to the flat table
 even plus the odd degrees, its mirror the even minus the odd.  A
 transform needs O(N) working memory beyond the plan.
 
+A transform whose order products take at least ``_SPLIT_WORK``
+multiply-adds (plan entries times real columns; a vector transform on a
+Gauss-Legendre grid from L = 140 on) runs its two heavy stages on every
+CPU of the process's affinity set, as SHTns and libsharp split them over
+rings and orders.  The complex ring FFT (and inverse FFT) runs on
+contiguous ranges of rings, each transformed in place; the order stage
+runs on contiguous ranges of groups, balanced by their blocks' entries,
+each gathering, multiplying and scattering its own orders.  The parts run
+at once, one on the caller's thread and the others on a pool of one
+thread per further CPU (:func:`_run_parts`), and give the one-part
+results bit for bit.  A caller limits the CPUs with ``taskset`` or
+``os.sched_setaffinity``.  Smaller transforms, the real ring FFT and the
+NUFFT's own FFTs run on the caller's thread alone.
+
 The NUFFT route serves arbitrary points in O(lmax**3 + M) arithmetic, after
 Keiner, Kunis & Potts ("Using NFFT 3", ACM TOMS 36(4), 2009).  Extended to
 colatitudes in [0, 2pi) by f(2pi - theta, phi) = f(theta, phi + pi), the
@@ -133,6 +147,7 @@ where it measured faster than the direct sums, else the direct sums.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -244,6 +259,7 @@ class _GridPlan:
     even: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m even, a view into its group's block
     odd: list[np.ndarray]  # per order m: (rows, .) Pbar(l, m) for l - m odd, likewise
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]  # per group: (orders, rows, widest) even and odd blocks
+    entries: int  # doubles in all blocks
     groups: tuple[tuple[slice, slice, slice], ...]  # per group: its orders, even and odd accumulator rows
     slots: np.ndarray  # flat (l, m) -> accumulator slot 2 * row + (m < 0)
     sources: np.ndarray  # accumulator slot -> flat (l, m) or (l, -m); 0 on padding
@@ -310,7 +326,7 @@ def _build_plan(grid: TensorGrid, lmax: int) -> _GridPlan:
     for block in even + odd + stacks:
         block.flags.writeable = False
     folds = -(-(2 * lmax + 1) // grid.n_phi)
-    return _GridPlan(rings, south, folds, even, odd, blocks, *layout)
+    return _GridPlan(rings, south, folds, even, odd, blocks, buffer.size, *layout)
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -360,53 +376,152 @@ def _accumulator_layout(
     return tuple(groups), slots, sources, signs, source_signs
 
 
-def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, lmax: int, h: int) -> np.ndarray:
-    """Order-major (lmax + 1, rings, h, c): the rings' DFT bins m and, for h = 2, -m, modulo the width."""
+def _gather_orders(spectrum: np.ndarray, rings: np.ndarray, orders: slice, h: int) -> np.ndarray:
+    """Order-major (orders, rings, h, c): the rings' DFT bins m and, for h = 2, -m, modulo the width."""
     width, c = spectrum.shape[1:]
-    part = np.empty((lmax + 1, rings.size, h, c), dtype=np.complex128)
-    part[:, :, 0] = spectrum[rings, : lmax + 1].transpose(1, 0, 2)
+    lo, hi = orders.start, orders.stop
+    part = np.empty((hi - lo, rings.size, h, c), dtype=np.complex128)
+    part[:, :, 0] = spectrum[rings, lo:hi].transpose(1, 0, 2)
     if h == 2:
-        negative = spectrum[rings, width - 1 : width - 1 - lmax : -1]  # bins -1, ..., -lmax
-        part[1:, :, 1] = negative.transpose(1, 0, 2)
-        part[0, :, 1] = part[0, :, 0]  # order 0 has one bin; its unused -m half stays defined
+        first = max(lo, 1)  # bins -first, ..., -(hi - 1)
+        part[first - lo :, :, 1] = spectrum[rings, width - first : width - hi : -1].transpose(1, 0, 2)
+        if lo == 0:
+            part[0, :, 1] = part[0, :, 0]  # order 0 has one bin; its unused -m half stays defined
     return part
 
 
-def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, lmax: int) -> None:
-    """Write order-major real pairs (lmax + 1, rings, 4c) to the rings' bins m and -m."""
+def _scatter_orders(spectrum: np.ndarray, rings: np.ndarray, part: np.ndarray, orders: slice) -> None:
+    """Write order-major real pairs (orders, rings, 4c) to the rings' bins m and -m."""
     width, c = spectrum.shape[1:]
-    part = part.view(np.complex128).reshape(lmax + 1, rings.size, 2, c)
-    spectrum[rings, : lmax + 1] = part[:, :, 0].transpose(1, 0, 2)
-    spectrum[rings, width - 1 : width - 1 - lmax : -1] = part[1:, :, 1].transpose(1, 0, 2)
+    lo, hi = orders.start, orders.stop
+    part = part.view(np.complex128).reshape(hi - lo, rings.size, 2, c)
+    spectrum[rings, lo:hi] = part[:, :, 0].transpose(1, 0, 2)
+    first = max(lo, 1)  # order 0 has no -m bin
+    spectrum[rings, width - first : width - hi : -1] = part[first - lo :, :, 1].transpose(1, 0, 2)
 
 
-def _contract_orders(spectrum: np.ndarray, plan: _GridPlan, lmax: int, real: bool) -> np.ndarray:
+#: A transform's ring FFT and order stages split across the process's CPUs
+#: from this many multiply-adds of its order products (plan entries times
+#: real columns) on; below it they run as one part on the caller's thread.
+#: On a 2-vCPU x86-64 host a warm vector round trip on a Gauss-Legendre grid
+#: ran 2 % slower split at L = 136 (8.3e6) and 16 % faster at L = 144
+#: (9.8e6); the split starts at L = 140 (see CHANGES.md).
+_SPLIT_WORK = 9_000_000
+#: (pid, executor): the worker threads of the process that made them.
+_pool: tuple | None = None
+
+
+def _cores() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parts(plan: _GridPlan, columns: int) -> int:
+    """How many parts a transform's stages split into, for order products on this many real columns."""
+    return 1 if plan.entries * columns < _SPLIT_WORK else _cores()
+
+
+def _run_parts(task, parts: int) -> None:
+    """Run task(0), ..., task(parts - 1) at the same time: part 0 on this thread, the rest on the pool.
+
+    The pool, of one thread per core besides the caller's, is made when
+    first needed and again in a forked child, whose inherited pool has no
+    live thread.  Every part has finished when this returns or raises; an
+    error of part 0, else of the first failed other part, propagates.
+    No task may submit to the pool.
+    """
+    if parts == 1:
+        task(0)
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait  # deferred: adds about 3 ms to import favest
+
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="favest"))
+    futures = [_pool[1].submit(task, i) for i in range(1, parts)]
+    try:
+        task(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _run_ranges(sizes, parts: int, work) -> None:
+    """work(a, b) on up to ``parts`` non-empty contiguous ranges of the items, balanced by their sizes, at once."""
+    ends = np.cumsum(sizes)
+    centres = ends - 0.5 * np.asarray(sizes)
+    cuts = np.unique(np.r_[0, np.searchsorted(centres, ends[-1] * np.arange(1, parts) / parts), len(ends)])
+    _run_parts(lambda i: work(cuts[i], cuts[i + 1]), cuts.size - 1)
+
+
+def _ring_ffts(transform, rings: np.ndarray, parts: int, **kwargs) -> np.ndarray:
+    """``transform`` (``fft.fft`` or ``fft.ifft``) along axis 1 of the complex rings, which it may overwrite.
+
+    Split into parts, each part transforms a contiguous range of rings in place.
+    """
+    if parts == 1:
+        return transform(rings, axis=1, overwrite_x=True, **kwargs)
+
+    def part(a, b):
+        view = rings[a:b]
+        out = transform(view, axis=1, overwrite_x=True, **kwargs)
+        if not np.may_share_memory(out, view):  # a transform that did not overwrite
+            view[...] = out
+
+    _run_ranges(np.ones(rings.shape[0]), parts, part)
+    return rings
+
+
+def _over_groups(plan: _GridPlan, parts: int, work) -> None:
+    """work(groups, blocks) on contiguous ranges of the plan's groups, balanced by their blocks' entries.
+
+    Each range runs its own orders from gather to scatter.
+    """
+    if parts == 1:
+        work(plan.groups, plan.blocks)
+        return
+    sizes = [even.size + odd.size for even, odd in plan.blocks]
+    _run_ranges(sizes, parts, lambda a, b: work(plan.groups[a:b], plan.blocks[a:b]))
+
+
+def _contract_orders(spectrum: np.ndarray, plan: _GridPlan, lmax: int, real: bool, parts: int) -> np.ndarray:
     """Flat unweighted sums from the ring-major DFT bins (rings, width, c) of a grid's rings.
 
     Complex samples give bin m at column m and bin -m at width - m, as a
     DFT of at least 2*lmax + 1 bins does; real samples give bins 0..lmax
-    only, and F(l, -m) = (-1)**m conj F(l, m) gives the rest.
+    only, and F(l, -m) = (-1)**m conj F(l, m) gives the rest.  Each of
+    ``parts`` parts gathers and multiplies its own groups of orders (see
+    :func:`_over_groups`).
     """
     h = 1 if real else 2
-    total = _gather_orders(spectrum, plan.rings, lmax, h)
-    mirror = _gather_orders(spectrum, plan.mirrors, lmax, h)
-    # Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t): the even degrees read
-    # ring + mirror, the odd ones ring - mirror.
-    pairs, c = mirror.shape[1], mirror.shape[3]
-    diff = total.copy()
-    diff[:, :pairs] -= mirror
-    total[:, :pairs] += mirror
-    del mirror
-    # Complex columns are viewed as pairs of real ones, so each group of
-    # orders is two stacked real matmuls, each serving m and, for h = 2, -m.
-    total = total.reshape(lmax + 1, -1, h * c).view(np.float64)
-    diff = diff.reshape(lmax + 1, -1, h * c).view(np.float64)
+    c = spectrum.shape[2]
     k = 2 * h * c
+    pairs = plan.mirrors.size
     acc = np.empty((plan.sources.size // 2, k))
-    for (orders, even_rows, odd_rows), (even, odd) in zip(plan.groups, plan.blocks):
-        g = even.shape[0]
-        np.matmul(even.transpose(0, 2, 1), total[orders], out=acc[even_rows].reshape(g, -1, k))
-        np.matmul(odd.transpose(0, 2, 1), diff[orders], out=acc[odd_rows].reshape(g, -1, k))
+
+    def contract(groups, blocks):
+        orders = slice(groups[0][0].start, groups[-1][0].stop)
+        total = _gather_orders(spectrum, plan.rings, orders, h)
+        mirror = _gather_orders(spectrum, plan.mirrors, orders, h)
+        # Pbar(l, m, -t) = (-1)**(l - m) Pbar(l, m, t): the even degrees read
+        # ring + mirror, the odd ones ring - mirror.
+        diff = total.copy()
+        diff[:, :pairs] -= mirror
+        total[:, :pairs] += mirror
+        del mirror
+        # Complex columns are viewed as pairs of real ones, so each group of
+        # orders is two stacked real matmuls, each serving m and, for h = 2, -m.
+        total = total.reshape(total.shape[0], -1, h * c).view(np.float64)
+        diff = diff.reshape(diff.shape[0], -1, h * c).view(np.float64)
+        for (group, even_rows, odd_rows), (even, odd) in zip(groups, blocks):
+            g, at = even.shape[0], slice(group.start - orders.start, group.stop - orders.start)
+            np.matmul(even.transpose(0, 2, 1), total[at], out=acc[even_rows].reshape(g, -1, k))
+            np.matmul(odd.transpose(0, 2, 1), diff[at], out=acc[odd_rows].reshape(g, -1, k))
+
+    _over_groups(plan, parts, contract)
     acc = acc.view(np.complex128).reshape(-1, h, c)
     if real:  # the -m slot of each row holds conj F(l, m)
         acc = np.concatenate([acc, acc.conj()], axis=1)
@@ -430,20 +545,25 @@ def _forward_fast_values(f: np.ndarray, grid: TensorGrid, lmax: int) -> np.ndarr
             flip = bins > grid.n_phi // 2
             spectrum = np.take(spectrum, np.where(flip, grid.n_phi - bins, bins), axis=1)
             spectrum[:, flip] = spectrum[:, flip].conj()
-        return _contract_orders(spectrum, plan, lmax, real=True)
+        return _contract_orders(spectrum, plan, lmax, True, _parts(plan, 2 * rings.shape[2]))
     # Ring DFT, sum_j f_j exp(-2pi i j m / n_phi), in f's memory.
-    spectrum = fft.fft(rings, axis=1, overwrite_x=True)
+    parts = _parts(plan, 4 * rings.shape[2])
+    spectrum = _ring_ffts(fft.fft, rings, parts)
     if plan.folds > 1:  # orders m and m + n_phi share a bin: repeat the spectrum past -lmax
         spectrum = np.tile(spectrum, (1, plan.folds, 1))
-    return _contract_orders(spectrum, plan, lmax, real=False)
+    return _contract_orders(spectrum, plan, lmax, False, parts)
 
 
-def _expand_orders(values: np.ndarray, plan: _GridPlan, lmax: int, n_rings: int, width: int) -> np.ndarray:
+def _expand_orders(
+    values: np.ndarray, plan: _GridPlan, lmax: int, n_rings: int, width: int, parts: int
+) -> np.ndarray:
     """Ring-major DFT bins (n_rings, width, c) of the flat columns: the transpose of :func:`_contract_orders`.
 
     Bin m lands at column m and bin -m at width - m, for width >= 2*lmax + 1;
     a row's ring gets the even plus the odd degrees, its mirror the even
-    minus the odd.  Bins no order reaches stay zero.
+    minus the odd.  Bins no order reaches stay zero.  Each of ``parts``
+    parts multiplies and scatters its own groups of orders (see
+    :func:`_over_groups`).
     """
     c = values.shape[1]
     k = 4 * c
@@ -451,19 +571,26 @@ def _expand_orders(values: np.ndarray, plan: _GridPlan, lmax: int, n_rings: int,
     coeffs *= plan.source_signs[:, None]  # padding slots read zero
     coeffs = coeffs.reshape(-1, 2 * c).view(np.float64)
     rows, pairs = plan.rings.size, plan.mirrors.size
-    total = np.empty((lmax + 1, rows, k))
-    mirror = np.empty((lmax + 1, pairs, k))
-    odd_part = np.empty((max(even.shape[0] for even, _ in plan.blocks), rows, k))
-    for (orders, even_rows, odd_rows), (even, odd) in zip(plan.groups, plan.blocks):
-        g = even.shape[0]
-        part = odd_part[:g]
-        np.matmul(even, coeffs[even_rows].reshape(g, -1, k), out=total[orders])
-        np.matmul(odd, coeffs[odd_rows].reshape(g, -1, k), out=part)
-        np.subtract(total[orders, :pairs], part[:, :pairs], out=mirror[orders])
-        total[orders] += part
-    spectrum = np.zeros((n_rings, width, c), dtype=np.complex128)
-    _scatter_orders(spectrum, plan.rings, total, lmax)
-    _scatter_orders(spectrum, plan.mirrors, mirror, lmax)
+    # The parts write every ring's bins -lmax..lmax; only the bins between stay zero.
+    spectrum = np.empty((n_rings, width, c), dtype=np.complex128)
+    spectrum[:, lmax + 1 : width - lmax] = 0.0
+
+    def expand(groups, blocks):
+        orders = slice(groups[0][0].start, groups[-1][0].stop)
+        total = np.empty((orders.stop - orders.start, rows, k))
+        mirror = np.empty((orders.stop - orders.start, pairs, k))
+        odd_part = np.empty((max(even.shape[0] for even, _ in blocks), rows, k))
+        for (group, even_rows, odd_rows), (even, odd) in zip(groups, blocks):
+            g, at = even.shape[0], slice(group.start - orders.start, group.stop - orders.start)
+            part = odd_part[:g]
+            np.matmul(even, coeffs[even_rows].reshape(g, -1, k), out=total[at])
+            np.matmul(odd, coeffs[odd_rows].reshape(g, -1, k), out=part)
+            np.subtract(total[at, :pairs], part[:, :pairs], out=mirror[at])
+            total[at] += part
+        _scatter_orders(spectrum, plan.rings, total, orders)
+        _scatter_orders(spectrum, plan.mirrors, mirror, orders)
+
+    _over_groups(plan, parts, expand)
     return spectrum
 
 
@@ -471,11 +598,12 @@ def _adjoint_fast_values(values: np.ndarray, lmax: int, grid: TensorGrid) -> np.
     from scipy import fft
 
     plan = _plan(grid, lmax)
-    spectrum = _expand_orders(values, plan, lmax, grid.n_theta, plan.folds * grid.n_phi)
+    parts = _parts(plan, 4 * values.shape[1])
+    spectrum = _expand_orders(values, plan, lmax, grid.n_theta, plan.folds * grid.n_phi, parts)
     if plan.folds > 1:  # add the orders that share a bin
         spectrum = spectrum.reshape(grid.n_theta, plan.folds, grid.n_phi, -1).sum(axis=1)
     # norm="forward" leaves the inverse unscaled: the plain sum over orders.
-    out = fft.ifft(spectrum, axis=1, norm="forward", overwrite_x=True)
+    out = _ring_ffts(fft.ifft, spectrum, parts, norm="forward")
     return out.reshape(len(grid), values.shape[1])
 
 
@@ -737,7 +865,8 @@ def _adjoint_nufft_values(
     height = n + 2 * width  # the fine-grid rows stencils reach
     # Torus row n - 1 - j is auxiliary ring j turned by pi, which multiplies its bin m by (-1)**m.
     signs = np.where(kept % 2, -1.0, 1.0)[:, None]
-    torus = _expand_orders(values, _plan(grid, lmax), lmax, n // 2, kept.size)
+    plan = _plan(grid, lmax)
+    torus = _expand_orders(values, plan, lmax, n // 2, kept.size, _parts(plan, 4 * c))
     torus = np.concatenate([torus, signs * torus[::-1]])
     # The DFT in theta of the torus rows' ring spectra, kept frequencies only; phi-major from here on.
     coeffs = fft.fft(torus, axis=0, overwrite_x=True)[kept % n].transpose(1, 0, 2)
@@ -811,4 +940,5 @@ def _forward_nufft_values(
     rings = torus[: n // 2] + signs * torus[: n // 2 - 1 : -1]
     if real:  # bin 0 of a real ring is real: drop the theta transforms' rounding
         rings[:, 0].imag = 0.0
-    return _contract_orders(rings, _plan(grid, lmax), lmax, real)
+    plan = _plan(grid, lmax)
+    return _contract_orders(rings, plan, lmax, real, _parts(plan, (2 if real else 4) * c))

@@ -115,8 +115,9 @@ def test_non_finite_points_are_rejected(bad):
 
 
 def test_import_defers_scipy():
-    # scipy.special, scipy.sparse and scipy.fft each add tens of ms to `import favest`.
-    names = "('scipy.special', 'scipy.sparse', 'scipy.fft')"
+    # scipy.special, scipy.sparse and scipy.fft each add tens of ms to `import favest`,
+    # and concurrent.futures, which only a split transform needs, about 3 ms.
+    names = "('scipy.special', 'scipy.sparse', 'scipy.fft', 'concurrent.futures')"
     code = f"import sys, favest; print(sorted(m for m in {names} if m in sys.modules))"
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -306,3 +307,14 @@ def test_rule_works_out_its_grid(monkeypatch):
         (poles, np.full(2, FOUR_PI / 2)),
     ):
         assert QuadratureRule(points, weights, exactness=1).grid is None
+
+
+def test_rule_with_rings_next_to_the_poles_has_its_grid():
+    # arccos(z) moves a ring 1e-6 rad from a pole by about 1e-10 rad, which
+    # the 1e-12 rebuild test rejects; arctan2 of the ring's point does not.
+    for gap in (1e-5, 1e-6):
+        theta = np.repeat([gap, np.pi - gap], 8)
+        phi = np.tile(2 * np.pi * np.arange(8) / 8, 2)
+        rule = QuadratureRule(from_spherical(theta, phi), np.full(16, FOUR_PI / 16), exactness=1)
+        assert rule.grid is not None and rule.grid.n_phi == 8, gap
+        np.testing.assert_allclose(rule.grid.ring_thetas, [gap, np.pi - gap], rtol=1e-15)

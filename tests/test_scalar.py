@@ -1,4 +1,8 @@
+import os
+import signal
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -239,21 +243,23 @@ def test_order_groups_match_the_per_order_contraction():
     cases = [(gen_gl_tensor(2 * (lmax + 1))[0], lmax) for lmax in (1, 2, 17, 64)]
     cases += [(gen_gl_tensor(30)[0], 30), (TensorGrid(thetas, _ring_weights(rng, 11, 27), 27), 12)]
     rng = np.random.default_rng(73)
+    # Split into parts, each gathers, multiplies and scatters its own groups of orders.
     for grid, lmax in cases:
         plan = _plan(grid, lmax)
         width = plan.folds * grid.n_phi
-        for c in (1, 2):
+        for c, parts in ((1, 1), (2, 1), (2, 3)):
             for real in (True, False):
                 bins = lmax + 1 if real else width
                 spectrum = rng.standard_normal((grid.n_theta, bins, 2 * c)).view(np.complex128)
                 want = _contract_by_order(spectrum, plan, lmax, real)
-                assert _relative(_contract_orders(spectrum, plan, lmax, real), want) <= 1e-14, (lmax, c, real)
+                got = _contract_orders(spectrum, plan, lmax, real, parts)
+                assert _relative(got, want) <= 1e-14, (lmax, c, real, parts)
             g = rng.standard_normal((flat_size(lmax), 2 * c)).view(np.complex128)
             want = _expand_by_order(g, plan, lmax, grid.n_theta, width)
-            assert _relative(_expand_orders(g, plan, lmax, grid.n_theta, width), want) <= 1e-14, (lmax, c)
+            assert _relative(_expand_orders(g, plan, lmax, grid.n_theta, width, parts), want) <= 1e-14, (lmax, c)
             # Real coefficient columns take the same stage.
             want = _expand_by_order(g.real + 0j, plan, lmax, grid.n_theta, width)
-            assert _relative(_expand_orders(g.real + 0j, plan, lmax, grid.n_theta, width), want) <= 1e-14
+            assert _relative(_expand_orders(g.real + 0j, plan, lmax, grid.n_theta, width, parts), want) <= 1e-14
 
     # A group grows while its padding is at most 1/32 of its entries plus 8 columns.
     for lmax, count, padding in ((140, 22, 0.0428), (257, 30, 0.0358)):
@@ -845,3 +851,135 @@ def test_nufft_on_a_changed_raw_array_gives_the_new_points_values(monkeypatch):
         assert len(calls) == 2 * batches
         calls.clear()
         pts[:] = pts[:, [2, 0, 1]]  # the same array, other points
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """A pool of the test's own for split stages, shut down after it."""
+    monkeypatch.setattr(favest.scalar, "_pool", None)
+    yield
+    if favest.scalar._pool is not None:
+        favest.scalar._pool[1].shutdown()
+
+
+def _split_every_stage(monkeypatch, cores):
+    """Split every fast-path stage into ``cores`` parts, and count the splits."""
+    monkeypatch.setattr(favest.scalar, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(favest.scalar, "_cores", lambda: cores)
+    run_parts, splits = favest.scalar._run_parts, []
+
+    def counted(task, parts):
+        splits.append(parts)
+        return run_parts(task, parts)
+
+    monkeypatch.setattr(favest.scalar, "_run_parts", counted)
+    return splits
+
+
+def _round_trips(rng, cases):
+    """Per (rule, lmax): the adjoint, its forward and the forward of its real part."""
+    out = []
+    for rule, lmax in cases:
+        coeffs = VectorCoefficients.zeros(lmax)
+        for table in (coeffs.div, coeffs.curl):
+            table.values[1:] = rng.standard_normal((flat_size(lmax) - 1, 2)).view(np.complex128)[:, 0]
+        samples = adjoint_favest(coeffs, rule)
+        real = type(samples)(samples.points, samples.values.real)
+        for got in (samples, forward_favest(samples, rule, lmax), forward_favest(real, rule, lmax)):
+            out += [got.values] if hasattr(got, "points") else [got.div.values, got.curl.values]
+    return out
+
+
+def _split_cases():
+    rng = np.random.default_rng(131)
+    return [
+        (gen_gl_tensor(42)[1], 20),
+        (gen_gl_tensor(40)[1], 40),  # folded: orders m and m + 41 share a bin
+        (_random_rule(rng, 2500), 40),  # the NUFFT's auxiliary grid
+    ]
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_split_stages_give_the_one_part_results_bit_for_bit(monkeypatch, own_pool, cores):
+    cases = _split_cases()
+    want = _round_trips(np.random.default_rng(137), cases)
+    splits = _split_every_stage(monkeypatch, cores)
+    got = _round_trips(np.random.default_rng(137), cases)
+    assert splits and set(splits) == {cores}
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_one_core_runs_every_stage_as_one_part_without_a_pool(monkeypatch, own_pool):
+    cases = _split_cases()
+    want = _round_trips(np.random.default_rng(139), cases)
+    splits = _split_every_stage(monkeypatch, 1)
+    got = _round_trips(np.random.default_rng(139), cases)
+    assert splits == [] and favest.scalar._pool is None
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_split_warm_grid_forward_peaks_at_three_and_a_half_inputs(monkeypatch, own_pool):
+    # As the one-part forward (test_transforms): each part transforms its rings in place.
+    splits = _split_every_stage(monkeypatch, 2)
+    rng = np.random.default_rng(29)
+    lmax = 64
+    _, rule = gen_gl_tensor(2 * (lmax + 1))
+    coeffs = VectorCoefficients.zeros(lmax)
+    coeffs.div.values[1:] = rng.standard_normal((flat_size(lmax) - 1, 2)).view(np.complex128)[:, 0]
+    samples = adjoint_favest(coeffs, rule)
+    forward_favest(samples, rule, lmax)  # warm-up builds the plan, K and the pool
+    splits.clear()
+    tracemalloc.start()
+    try:
+        forward_favest(samples, rule, lmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert splits == [2, 2]  # the ring FFT and the order products
+    assert peak <= 3.5 * samples.values.nbytes, (peak, samples.values.nbytes)
+
+
+def test_a_failing_part_raises_after_every_part_has_finished(monkeypatch, own_pool):
+    monkeypatch.setattr(favest.scalar, "_cores", lambda: 3)
+    for failing in (0, 1):
+        finished = []
+
+        def task(i):
+            if i == failing:
+                raise RuntimeError(f"part {i}")
+            time.sleep(0.2)
+            finished.append(i)
+
+        with pytest.raises(RuntimeError, match=f"part {failing}"):
+            favest.scalar._run_parts(task, 3)
+        assert sorted(finished) == sorted({0, 1, 2} - {failing})
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch, own_pool):
+    # The child inherits the parent's pool object but none of its threads.
+    _split_every_stage(monkeypatch, 2)
+    lmax = 20
+    _, rule = gen_gl_tensor(2 * (lmax + 1))
+    coeffs = VectorCoefficients.zeros(lmax)
+    coeffs.div.values[1:] = 1.0
+    want = adjoint_favest(coeffs, rule).values
+    assert favest.scalar._pool is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a process with threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            same = np.array_equal(adjoint_favest(coeffs, rule).values, want)
+            code = 0 if same and favest.scalar._pool[0] == os.getpid() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split transform did not finish in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
